@@ -1,12 +1,10 @@
-// Serving-layer throughput harness (ISSUE 4, extended by ISSUE 6):
-// batched embedding vs. one-at-a-time, indexed (VP-tree) and
-// int8-quantized vs. linear-scan KNN, and SIMD vs. scalar dispatch for
-// both the embed-batch and KNN kernels, over a default-scale RCS.
-// Emits BENCH_serve.json with p50/p99 latency and QPS per batch size
-// plus the KNN and kernel comparisons, and self-checks that every fast
-// path is bit-identical to its reference path — the bench fails loudly
-// if batching, indexing, quantization, or vectorization ever changes a
-// recommendation.
+// Serving-layer throughput harness: batched embedding vs.
+// one-at-a-time, and SIMD vs. scalar dispatch for both the embed-batch
+// and KNN-scan kernels, over a default-scale RCS. Emits
+// BENCH_serve.json with p50/p99 latency and QPS per batch size plus the
+// KNN and kernel comparisons, and self-checks that every fast path is
+// bit-identical to its reference path — the bench fails loudly if
+// batching or vectorization ever changes a recommendation.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -57,11 +55,9 @@ std::vector<advisor::DatasetLabel> SyntheticLabels(size_t n, uint64_t seed) {
   return labels;
 }
 
-/// Per-backend timing and work counters for one query stream.
-struct KnnBackendResult {
+/// Timing of one query stream over the RCS index.
+struct KnnScanResult {
   double ns_per_query = 0.0;
-  uint64_t distance_evals = 0;
-  uint64_t lb_prunes = 0;
   uint64_t digest = 0;
 };
 
@@ -69,30 +65,23 @@ struct KnnResult {
   size_t queries = 0;
   int repeats = 0;
   int k = 0;
-  KnnBackendResult linear;
-  KnnBackendResult vptree;
-  KnnBackendResult quantized;
-  /// Linear scan with the kernel dispatch pinned to scalar — the
-  /// committed baseline the SIMD speedup is measured against.
-  KnnBackendResult linear_scalar;
-  double vptree_speedup = 0.0;     // linear / vptree, same dispatch level
-  double quantized_speedup = 0.0;  // linear / quantized, same level
-  double simd_speedup = 0.0;       // scalar linear / active-level linear
-  bool identical = false;          // all digests equal (exactness witness)
+  KnnScanResult simd;
+  /// The same scan with the kernel dispatch pinned to scalar — the
+  /// baseline the SIMD speedup is measured against.
+  KnnScanResult scalar;
+  double simd_speedup = 0.0;  // scalar ns / active-level ns
+  bool identical = false;     // digests equal (exactness witness)
 };
 
-KnnBackendResult TimeKnnBackend(const knn::Index& index,
-                                const std::vector<std::vector<double>>& queries,
-                                size_t k, int repeats) {
-  KnnBackendResult res;
+KnnScanResult TimeKnnScan(const knn::Index& index,
+                          const std::vector<std::vector<double>>& queries,
+                          size_t k, int repeats) {
+  KnnScanResult res;
   Digest digest;
   Timer timer;
   for (int r = 0; r < repeats; ++r) {
     for (const auto& q : queries) {
-      knn::QueryStats stats;
-      auto got = index.Query(q, k, SIZE_MAX, nullptr, &stats);
-      res.distance_evals += stats.distance_evals;
-      res.lb_prunes += stats.lb_prunes;
+      auto got = index.Query(q, k);
       if (r == 0) {
         for (const auto& n : got) {
           digest.Add(n.distance);
@@ -108,11 +97,9 @@ KnnBackendResult TimeKnnBackend(const knn::Index& index,
   return res;
 }
 
-/// Linear scan vs. VP-tree vs. int8-quantized tier over the advisor's
-/// own RCS embeddings, with the advisor's query embeddings — exactly
-/// the retrieval the serving layer performs per request. Also re-runs
-/// the linear scan with dispatch pinned to scalar, so the JSON records
-/// the SIMD kernel speedup against a bit-identical reference.
+/// The KNN scan over the advisor's own RCS index with the advisor's
+/// query embeddings — exactly the retrieval the serving layer performs
+/// per request — at the active dispatch level and pinned to scalar.
 KnnResult BenchKnn(const advisor::AutoCe& advisor,
                    const std::vector<std::vector<double>>& queries,
                    int repeats) {
@@ -120,38 +107,20 @@ KnnResult BenchKnn(const advisor::AutoCe& advisor,
   res.queries = queries.size();
   res.repeats = repeats;
   res.k = advisor.config().knn_k;
-  const auto& points = advisor.rcs_index().points();
-
-  knn::IndexConfig linear_cfg;
-  linear_cfg.backend = knn::Backend::kLinear;
-  knn::Index linear = knn::Index::Build(points, {}, linear_cfg);
-  knn::Index vptree = knn::Index::Build(points);
-  knn::IndexConfig quant_cfg;
-  quant_cfg.backend = knn::Backend::kQuantized;
-  knn::Index quantized = knn::Index::Build(points, {}, quant_cfg);
-
+  const knn::Index& index = advisor.rcs_index();
   size_t k = static_cast<size_t>(res.k);
-  res.linear = TimeKnnBackend(linear, queries, k, repeats);
-  res.vptree = TimeKnnBackend(vptree, queries, k, repeats);
-  res.quantized = TimeKnnBackend(quantized, queries, k, repeats);
+  res.simd = TimeKnnScan(index, queries, k, repeats);
 
   const util::simd::Level active = util::simd::ActiveLevel();
   util::simd::SetActiveLevel(util::simd::Level::kScalar);
-  res.linear_scalar = TimeKnnBackend(linear, queries, k, repeats);
+  res.scalar = TimeKnnScan(index, queries, k, repeats);
   util::simd::SetActiveLevel(active);
 
-  auto speedup = [](double base, double fast) {
-    return fast > 0 ? base / fast : 0.0;
-  };
-  res.vptree_speedup = speedup(res.linear.ns_per_query, res.vptree.ns_per_query);
-  res.quantized_speedup =
-      speedup(res.linear.ns_per_query, res.quantized.ns_per_query);
-  res.simd_speedup =
-      speedup(res.linear_scalar.ns_per_query, res.linear.ns_per_query);
-  res.identical = res.linear.digest == res.vptree.digest &&
-                  res.linear.digest == res.quantized.digest &&
-                  res.linear.digest == res.linear_scalar.digest;
-  AUTOCE_CHECK(res.identical);  // exactness, not approximation
+  res.simd_speedup = res.simd.ns_per_query > 0
+                         ? res.scalar.ns_per_query / res.simd.ns_per_query
+                         : 0.0;
+  res.identical = res.simd.digest == res.scalar.digest;
+  AUTOCE_CHECK(res.identical);  // levels never change neighbor bits
   return res;
 }
 
@@ -316,25 +285,15 @@ int Main() {
               embed.scalar_ns_per_graph, embed.simd_speedup,
               embed.identical ? "yes" : "NO");
 
-  // --- indexed vs. linear KNN over the serving query stream ---------
+  // --- KNN scan over the serving query stream: SIMD vs. scalar -----
   std::vector<std::vector<double>> query_embeddings;
   for (const auto& g : query_graphs) query_embeddings.push_back(advisor.Embed(g));
   KnnResult knn = BenchKnn(advisor, query_embeddings, knn_repeats);
-  PrintRow({"knn backend", "ns/query", "dist evals", "lb prunes", "identical"});
-  PrintRow({"linear(sc)", Fmt(knn.linear_scalar.ns_per_query, 0),
-            std::to_string(knn.linear_scalar.distance_evals), "-", "yes"});
-  PrintRow({"linear", Fmt(knn.linear.ns_per_query, 0),
-            std::to_string(knn.linear.distance_evals), "-", "yes"});
-  PrintRow({"vp-tree", Fmt(knn.vptree.ns_per_query, 0),
-            std::to_string(knn.vptree.distance_evals), "-",
-            knn.identical ? "yes" : "NO"});
-  PrintRow({"quantized", Fmt(knn.quantized.ns_per_query, 0),
-            std::to_string(knn.quantized.distance_evals),
-            std::to_string(knn.quantized.lb_prunes),
-            knn.identical ? "yes" : "NO"});
-  std::printf("# vp-tree %.2fx, quantized %.2fx over linear scan; "
-              "simd %.2fx over scalar linear\n",
-              knn.vptree_speedup, knn.quantized_speedup, knn.simd_speedup);
+  PrintRow({"knn scan", "ns/query", "identical"});
+  PrintRow({"scalar", Fmt(knn.scalar.ns_per_query, 0), "yes"});
+  PrintRow({util::simd::LevelName(util::simd::ActiveLevel()),
+            Fmt(knn.simd.ns_per_query, 0), knn.identical ? "yes" : "NO"});
+  std::printf("# knn scan simd %.2fx over scalar\n", knn.simd_speedup);
 
   // --- serve throughput vs. batch size ------------------------------
   std::vector<serve::RecommendRequest> requests;
@@ -392,25 +351,10 @@ int Main() {
   std::snprintf(
       buf, sizeof(buf),
       "{\"queries\": %zu, \"repeats\": %d, \"k\": %d,\n"
-      "    \"linear_scalar_ns_per_query\": %.1f, "
-      "\"linear_ns_per_query\": %.1f,\n"
-      "    \"vptree_ns_per_query\": %.1f, "
-      "\"quantized_ns_per_query\": %.1f,\n"
-      "    \"linear_distance_evals\": %llu, "
-      "\"vptree_distance_evals\": %llu,\n"
-      "    \"quantized_distance_evals\": %llu, "
-      "\"quantized_lb_prunes\": %llu,\n"
-      "    \"vptree_speedup\": %.3f, \"quantized_speedup\": %.3f, "
-      "\"simd_speedup\": %.3f,\n"
-      "    \"identical_neighbors\": %s}",
-      knn.queries, knn.repeats, knn.k, knn.linear_scalar.ns_per_query,
-      knn.linear.ns_per_query, knn.vptree.ns_per_query,
-      knn.quantized.ns_per_query,
-      static_cast<unsigned long long>(knn.linear.distance_evals),
-      static_cast<unsigned long long>(knn.vptree.distance_evals),
-      static_cast<unsigned long long>(knn.quantized.distance_evals),
-      static_cast<unsigned long long>(knn.quantized.lb_prunes),
-      knn.vptree_speedup, knn.quantized_speedup, knn.simd_speedup,
+      "    \"scalar_ns_per_query\": %.1f, \"simd_ns_per_query\": %.1f,\n"
+      "    \"simd_speedup\": %.3f, \"identical_neighbors\": %s}",
+      knn.queries, knn.repeats, knn.k, knn.scalar.ns_per_query,
+      knn.simd.ns_per_query, knn.simd_speedup,
       knn.identical ? "true" : "false");
   std::string knn_json = buf;
   std::snprintf(buf, sizeof(buf),

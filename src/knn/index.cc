@@ -2,417 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
+#include "nn/matrix.h"
 #include "util/logging.h"
 #include "util/simd.h"
 
 namespace autoce::knn {
 
-namespace simd = ::autoce::util::simd;
-
 namespace {
 
-constexpr uint32_t kIndexMagic = 0x4B4E4E31;  // "KNN1"
-constexpr uint32_t kIndexVersion = 1;
-
-/// Deflation applied to the quantized lower bound before it is compared
-/// against the k-th candidate: the bound's derivation is exact in real
-/// arithmetic, but the code assignment and the bound kernel each round,
-/// so the computed bound can exceed the true one by a relative error on
-/// the order of dim * 2^-52 plus ~6e-11 from the code rounding. 1e-9
-/// dominates both by orders of magnitude, is identical at every
-/// dispatch level, and costs a vanishing amount of pruning.
-constexpr double kBoundSlack = 1.0 - 1e-9;
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// Running k-best entry in squared-distance space.
+struct Candidate {
+  double sq = 0.0;
+  size_t index = 0;
+};
 
 /// Lexicographic (squared distance, index) order — the tie-break
 /// contract. sqrt is strictly monotone, so this is the historical
 /// (distance, index) order exactly.
-bool Better(double sq_a, size_t i_a, double sq_b, size_t i_b) {
-  return sq_a < sq_b || (sq_a == sq_b && i_a < i_b);
+bool Better(const Candidate& a, const Candidate& b) {
+  return a.sq < b.sq || (a.sq == b.sq && a.index < b.index);
+}
+
+/// Offers member `i` at squared distance `sq` to the running k-best
+/// list `best` (kept sorted by `Better`; non-finite rejected).
+void Offer(size_t i, double sq, size_t k, std::vector<Candidate>* best) {
+  // Non-finite distances are never neighbors (the historical scan
+  // stopped at the first non-finite entry).
+  if (!std::isfinite(sq)) return;
+  Candidate c{sq, i};
+  if (best->size() == k && !Better(c, best->back())) return;
+  best->insert(std::lower_bound(best->begin(), best->end(), c, Better), c);
+  if (best->size() > k) best->pop_back();
 }
 
 }  // namespace
 
-Index Index::Build(std::vector<std::vector<double>> points,
-                   std::vector<char> usable, IndexConfig config) {
+Index Index::Build(const std::vector<std::vector<double>>& points,
+                   std::vector<char> usable) {
   Index index;
-  index.points_ = std::move(points);
-  index.config_ = config;
   if (usable.empty()) {
-    index.usable_.assign(index.points_.size(), 1);
+    index.usable_.assign(points.size(), 1);
   } else {
-    AUTOCE_CHECK(usable.size() == index.points_.size());
+    AUTOCE_CHECK(usable.size() == points.size());
     index.usable_ = std::move(usable);
   }
   index.usable_count_ = static_cast<size_t>(
       std::count(index.usable_.begin(), index.usable_.end(), 1));
-  index.FinishBuild(/*derive_quant=*/true);
+  index.dim_ = points.empty() ? 0 : points[0].size();
+  index.flat_.reserve(points.size() * index.dim_);
+  for (const std::vector<double>& p : points) {
+    AUTOCE_CHECK(p.size() == index.dim_);
+    index.flat_.insert(index.flat_.end(), p.begin(), p.end());
+  }
   return index;
-}
-
-void Index::FinishBuild(bool derive_quant) {
-  dim_ = points_.empty() ? 0 : points_[0].size();
-  flat_.resize(points_.size() * dim_);
-  for (size_t i = 0; i < points_.size(); ++i) {
-    AUTOCE_CHECK(points_[i].size() == dim_);
-    std::copy(points_[i].begin(), points_[i].end(),
-              flat_.begin() + static_cast<ptrdiff_t>(i * dim_));
-  }
-  if (config_.backend == Backend::kVpTree && usable_count_ > 0) {
-    std::vector<size_t> ids;
-    ids.reserve(usable_count_);
-    for (size_t i = 0; i < points_.size(); ++i) {
-      if (usable_[i]) ids.push_back(i);
-    }
-    nodes_.reserve(2 * ids.size() / std::max(1, config_.leaf_size) + 4);
-    leaf_items_.reserve(ids.size());
-    BuildNode(&ids, 0, ids.size());
-  }
-  if (config_.backend == Backend::kQuantized && derive_quant) BuildQuant();
-}
-
-int32_t Index::BuildNode(std::vector<size_t>* ids, size_t begin, size_t end) {
-  size_t n = end - begin;
-  if (n == 0) return -1;
-  int32_t node_id = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  if (n <= static_cast<size_t>(std::max(1, config_.leaf_size))) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    node.is_leaf = true;
-    node.leaf_begin = static_cast<uint32_t>(leaf_items_.size());
-    for (size_t i = begin; i < end; ++i) leaf_items_.push_back((*ids)[i]);
-    node.leaf_end = static_cast<uint32_t>(leaf_items_.size());
-    return node_id;
-  }
-  // Deterministic pseudo-random vantage point: a pure function of the
-  // subtree's member ids, so rebuilding the same member set always
-  // yields the same tree (and hence the same traversal costs).
-  size_t pick = begin + SplitMix64((*ids)[begin] * 0x9E3779B97F4A7C15ULL ^
-                                   n) % n;
-  std::swap((*ids)[begin], (*ids)[pick]);
-  size_t pivot = (*ids)[begin];
-
-  // Median split of the remaining members by (distance-to-pivot, id);
-  // the id tie-break makes the partition unique. Distances come from
-  // the batched kernel over the contiguous member copies.
-  std::vector<std::pair<double, size_t>> dist;
-  dist.reserve(n - 1);
-  const double* pivot_row = flat_.data() + pivot * dim_;
-  for (size_t i = begin + 1; i < end; ++i) {
-    double sq = simd::SquaredL2(pivot_row, flat_.data() + (*ids)[i] * dim_,
-                                dim_);
-    dist.emplace_back(std::sqrt(sq), (*ids)[i]);
-  }
-  size_t half = dist.size() / 2;
-  std::nth_element(dist.begin(), dist.begin() + static_cast<ptrdiff_t>(half),
-                   dist.end());
-  double radius = dist[half].first;
-  for (size_t i = 0; i < dist.size(); ++i) {
-    (*ids)[begin + 1 + i] = dist[i].second;
-  }
-  nodes_[static_cast<size_t>(node_id)].pivot = pivot;
-  nodes_[static_cast<size_t>(node_id)].radius = radius;
-  // Inside child holds distances <= radius (plus the median element
-  // itself), outside holds the rest; both are non-empty because half <
-  // dist.size() and the median element anchors the outside range.
-  int32_t inside = BuildNode(ids, begin + 1, begin + 1 + half);
-  int32_t outside = BuildNode(ids, begin + 1 + half, end);
-  nodes_[static_cast<size_t>(node_id)].inside = inside;
-  nodes_[static_cast<size_t>(node_id)].outside = outside;
-  return node_id;
-}
-
-void Index::BuildQuant() {
-  qmin_.assign(dim_, 0.0);
-  qstep_.assign(dim_, 0.0);
-  qstep2_.assign(dim_, 0.0);
-  codes_.assign(points_.size() * dim_, 0);
-  if (dim_ == 0 || points_.empty()) return;
-  std::vector<double> lo(dim_, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(dim_, -std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < points_.size(); ++i) {
-    if (!usable_[i]) continue;
-    const double* row = flat_.data() + i * dim_;
-    for (size_t d = 0; d < dim_; ++d) {
-      if (!std::isfinite(row[d])) continue;
-      lo[d] = std::min(lo[d], row[d]);
-      hi[d] = std::max(hi[d], row[d]);
-    }
-  }
-  for (size_t d = 0; d < dim_; ++d) {
-    if (!(lo[d] <= hi[d])) continue;  // no finite values in this dim
-    qmin_[d] = lo[d];
-    double step = (hi[d] - lo[d]) / 255.0;
-    // A zero (degenerate dim) or non-finite (range overflow) step gets
-    // weight zero: the bound contributes nothing there — looser, never
-    // invalid.
-    if (!std::isfinite(step)) step = 0.0;
-    qstep_[d] = step;
-    qstep2_[d] = step * step;
-  }
-  for (size_t i = 0; i < points_.size(); ++i) {
-    const double* row = flat_.data() + i * dim_;
-    uint8_t* code = codes_.data() + i * dim_;
-    for (size_t d = 0; d < dim_; ++d) {
-      if (qstep_[d] <= 0.0 || !std::isfinite(row[d])) continue;
-      double t = (row[d] - qmin_[d]) / qstep_[d];
-      int c = static_cast<int>(t + 0.5);
-      code[d] = static_cast<uint8_t>(std::clamp(c, 0, 255));
-    }
-  }
-}
-
-void Index::Offer(size_t i, double sq, size_t k,
-                  std::vector<Candidate>* best) {
-  // Non-finite distances are never neighbors (the historical scan
-  // stopped at the first non-finite entry).
-  if (!std::isfinite(sq)) return;
-  if (best->size() == k &&
-      !Better(sq, i, best->back().sq, best->back().index)) {
-    return;
-  }
-  Candidate n{sq, i};
-  auto pos = std::lower_bound(
-      best->begin(), best->end(), n,
-      [](const Candidate& a, const Candidate& b) {
-        return Better(a.sq, a.index, b.sq, b.index);
-      });
-  best->insert(pos, n);
-  if (best->size() > k) best->pop_back();
-}
-
-void Index::SearchNode(int32_t node_id, std::span<const double> query,
-                       size_t k, size_t exclude,
-                       const std::vector<char>* allowed,
-                       std::vector<Candidate>* best,
-                       QueryStats* stats) const {
-  if (node_id < 0) return;
-  const Node& node = nodes_[static_cast<size_t>(node_id)];
-  if (stats != nullptr) ++stats->nodes_visited;
-  if (node.is_leaf) {
-    for (uint32_t i = node.leaf_begin; i < node.leaf_end; ++i) {
-      size_t id = leaf_items_[i];
-      if (id == exclude) continue;
-      if (allowed != nullptr && !(*allowed)[id]) continue;
-      if (stats != nullptr) ++stats->distance_evals;
-      Offer(id, simd::SquaredL2(query.data(), flat_.data() + id * dim_, dim_),
-            k, best);
-    }
-    return;
-  }
-  if (stats != nullptr) ++stats->distance_evals;
-  double sq = simd::SquaredL2(query.data(), flat_.data() + node.pivot * dim_,
-                              dim_);
-  double d = std::sqrt(sq);
-  if (node.pivot != exclude &&
-      (allowed == nullptr || (*allowed)[node.pivot])) {
-    Offer(node.pivot, sq, k, best);
-  }
-  // Visit the side the query falls in first so the pruning bound
-  // tightens before the far side is considered. A subtree is skipped
-  // only when the triangle inequality puts every member *strictly*
-  // beyond the current k-th distance, where the (distance, index)
-  // tie-break can no longer matter — exactness is preserved. Pruning
-  // works in real distances (the triangle inequality needs them); the
-  // candidate list stays in squared space, so the bound is the sqrt of
-  // the k-th squared distance — the identical double the historical
-  // per-candidate sqrt produced.
-  int32_t near = d <= node.radius ? node.inside : node.outside;
-  int32_t far = d <= node.radius ? node.outside : node.inside;
-  SearchNode(near, query, k, exclude, allowed, best, stats);
-  double tau = best->size() == k ? std::sqrt(best->back().sq)
-                                 : std::numeric_limits<double>::infinity();
-  bool visit_far = far == node.inside ? (d - node.radius <= tau)
-                                      : (node.radius - d <= tau);
-  if (visit_far) SearchNode(far, query, k, exclude, allowed, best, stats);
-}
-
-void Index::QueryQuantized(std::span<const double> query, size_t k,
-                           size_t exclude, const std::vector<char>* allowed,
-                           std::vector<Candidate>* best,
-                           QueryStats* stats) const {
-  const size_t rows = points_.size();
-  // Encode the query with the stored params, clamped to the code range:
-  // for an out-of-range coordinate the nearest lattice boundary is
-  // still at least as close to every member as the query is, so the
-  // bound stays valid (DESIGN.md §5.10).
-  std::vector<uint8_t> qcode(dim_, 0);
-  for (size_t d = 0; d < dim_; ++d) {
-    if (qstep_[d] <= 0.0) continue;
-    double t = (query[d] - qmin_[d]) / qstep_[d];
-    int c = static_cast<int>(t + 0.5);
-    qcode[d] = static_cast<uint8_t>(std::clamp(c, 0, 255));
-  }
-  std::vector<double> lb(rows);
-  simd::QuantLowerBound(qcode.data(), codes_.data(), qstep2_.data(), rows,
-                        dim_, lb.data());
-  // Best-first candidate walk in ascending (bound, index) order via a
-  // min-heap — the walk usually stops after a handful of exact
-  // re-ranks, so a full sort of the bounds would dominate the query.
-  // Heap pops are deterministic here because every (bound, index) key
-  // is distinct. The walk re-ranks until the deflated bound passes the
-  // k-th squared distance; a bound *equal* to the k-th distance is
-  // still evaluated — an equal exact distance can win the index
-  // tie-break.
-  auto after = [&lb](uint32_t a, uint32_t b) {
-    return lb[a] > lb[b] || (lb[a] == lb[b] && a > b);
-  };
-  std::vector<uint32_t> heap(rows);
-  std::iota(heap.begin(), heap.end(), 0);
-  std::make_heap(heap.begin(), heap.end(), after);
-  size_t remaining = rows;
-  while (remaining > 0) {
-    std::pop_heap(heap.begin(),
-                  heap.begin() + static_cast<ptrdiff_t>(remaining), after);
-    const uint32_t i = heap[--remaining];
-    if (!usable_[i] || i == exclude) continue;
-    if (allowed != nullptr && !(*allowed)[i]) continue;
-    if (best->size() == k && lb[i] * kBoundSlack > best->back().sq) {
-      if (stats != nullptr) stats->lb_prunes += remaining + 1;
-      break;
-    }
-    if (stats != nullptr) ++stats->distance_evals;
-    Offer(i, simd::SquaredL2(query.data(), flat_.data() + i * dim_, dim_), k,
-          best);
-  }
 }
 
 std::vector<Neighbor> Index::Query(std::span<const double> query, size_t k,
                                    size_t exclude,
-                                   const std::vector<char>* allowed,
-                                   QueryStats* stats) const {
-  AUTOCE_CHECK(allowed == nullptr || allowed->size() == points_.size());
+                                   const std::vector<char>* allowed) const {
+  AUTOCE_CHECK(allowed == nullptr || allowed->size() == size());
   std::vector<Neighbor> out;
-  if (k == 0 || usable_count_ == 0 ||
-      !nn::IsFinite(std::span<const double>(query))) {
-    return out;
-  }
+  if (k == 0 || usable_count_ == 0 || !nn::IsFinite(query)) return out;
   AUTOCE_CHECK(query.size() == dim_);
   std::vector<Candidate> best;
   best.reserve(k + 1);
-  if (config_.backend == Backend::kVpTree && !nodes_.empty()) {
-    SearchNode(0, query, k, exclude, allowed, &best, stats);
-  } else if (config_.backend == Backend::kQuantized) {
-    QueryQuantized(query, k, exclude, allowed, &best, stats);
-  } else if (k == 1 && allowed == nullptr &&
-             usable_count_ == points_.size()) {
-    // Drift-check fast path: single batched scan, scalar running best,
-    // no per-candidate finiteness revalidation or sorted inserts. The
-    // ascending walk makes "strictly smaller" the whole tie-break rule.
-    std::vector<double> sq(points_.size());
-    simd::SquaredL2Batch(query.data(), flat_.data(), points_.size(), dim_,
-                         sq.data());
-    double best_sq = std::numeric_limits<double>::infinity();
-    size_t best_idx = SIZE_MAX;
-    for (size_t i = 0; i < sq.size(); ++i) {
-      if (i == exclude) continue;
-      if (stats != nullptr) ++stats->distance_evals;
-      if (sq[i] < best_sq) {
-        best_sq = sq[i];
-        best_idx = i;
-      }
-    }
-    if (best_idx != SIZE_MAX) best.push_back(Candidate{best_sq, best_idx});
-  } else {
-    for (size_t i = 0; i < points_.size(); ++i) {
-      if (!usable_[i] || i == exclude) continue;
-      if (allowed != nullptr && !(*allowed)[i]) continue;
-      if (stats != nullptr) ++stats->distance_evals;
-      Offer(i, simd::SquaredL2(query.data(), flat_.data() + i * dim_, dim_),
-            k, &best);
-    }
+  for (size_t i = 0; i < size(); ++i) {
+    if (!usable_[i] || i == exclude) continue;
+    if (allowed != nullptr && !(*allowed)[i]) continue;
+    Offer(i, util::simd::SquaredL2(query.data(), flat_.data() + i * dim_, dim_),
+          k, &best);
   }
   out.reserve(best.size());
   for (const Candidate& c : best) {
     out.push_back(Neighbor{std::sqrt(c.sq), c.index});
   }
   return out;
-}
-
-void Index::Serialize(BinaryWriter* writer) const {
-  writer->WriteU32(kIndexMagic);
-  writer->WriteU32(kIndexVersion);
-  writer->WriteU32(static_cast<uint32_t>(config_.backend));
-  writer->WriteU32(static_cast<uint32_t>(config_.leaf_size));
-  writer->WriteU64(points_.size());
-  writer->WriteU64(dim_);
-  writer->WriteBytes(usable_.data(), usable_.size());
-  writer->WriteDoubles(flat_);
-  const uint32_t has_quant = codes_.empty() ? 0 : 1;
-  writer->WriteU32(has_quant);
-  if (has_quant != 0) {
-    writer->WriteDoubles(qmin_);
-    writer->WriteDoubles(qstep_);
-    writer->WriteBytes(codes_.data(), codes_.size());
-  }
-}
-
-Result<Index> Index::Deserialize(BinaryReader* reader) {
-  if (reader->ReadU32() != kIndexMagic) {
-    return Status::DataLoss("knn::Index: bad magic");
-  }
-  const uint32_t version = reader->ReadU32();
-  if (version != kIndexVersion) {
-    return Status::DataLoss("knn::Index: unsupported version");
-  }
-  Index index;
-  const uint32_t backend = reader->ReadU32();
-  if (backend > static_cast<uint32_t>(Backend::kQuantized)) {
-    return Status::DataLoss("knn::Index: unknown backend");
-  }
-  index.config_.backend = static_cast<Backend>(backend);
-  index.config_.leaf_size = static_cast<int>(reader->ReadU32());
-  const uint64_t rows = reader->ReadU64();
-  const uint64_t dim = reader->ReadU64();
-  if (!reader->status().ok()) return reader->status();
-  if (rows * dim > reader->remaining() / sizeof(double)) {
-    return Status::DataLoss("knn::Index: truncated member block");
-  }
-  index.usable_.resize(rows);
-  reader->ReadBytes(index.usable_.data(), rows);
-  std::vector<double> flat = reader->ReadDoubles();
-  if (!reader->status().ok()) return reader->status();
-  if (flat.size() != rows * dim) {
-    return Status::DataLoss("knn::Index: member block size mismatch");
-  }
-  index.points_.resize(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    index.points_[i].assign(flat.begin() + static_cast<ptrdiff_t>(i * dim),
-                            flat.begin() +
-                                static_cast<ptrdiff_t>((i + 1) * dim));
-  }
-  index.usable_count_ = static_cast<size_t>(
-      std::count(index.usable_.begin(), index.usable_.end(), 1));
-  const uint32_t has_quant = reader->ReadU32();
-  bool derive_quant = index.config_.backend == Backend::kQuantized;
-  if (has_quant != 0) {
-    index.qmin_ = reader->ReadDoubles();
-    index.qstep_ = reader->ReadDoubles();
-    if (!reader->status().ok()) return reader->status();
-    if (index.qmin_.size() != dim || index.qstep_.size() != dim ||
-        reader->remaining() < rows * dim) {
-      return Status::DataLoss("knn::Index: bad quantization block");
-    }
-    index.qstep2_.resize(dim);
-    for (uint64_t d = 0; d < dim; ++d) {
-      index.qstep2_[d] = index.qstep_[d] * index.qstep_[d];
-    }
-    index.codes_.resize(rows * dim);
-    reader->ReadBytes(index.codes_.data(), index.codes_.size());
-    derive_quant = false;
-  }
-  if (!reader->status().ok()) return reader->status();
-  index.FinishBuild(derive_quant);
-  return index;
 }
 
 }  // namespace autoce::knn

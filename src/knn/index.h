@@ -5,10 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "nn/matrix.h"
-#include "util/result.h"
-#include "util/serde.h"
-
 namespace autoce::knn {
 
 /// One retrieved neighbor: Euclidean distance and the member index the
@@ -16,30 +12,6 @@ namespace autoce::knn {
 struct Neighbor {
   double distance = 0.0;
   size_t index = 0;
-};
-
-/// Search backend. All three are *exact* and return bit-identical
-/// neighbor lists; they only differ in how much work a query does.
-enum class Backend {
-  kLinear,     ///< scan every usable member (the reference path)
-  kVpTree,     ///< vantage-point tree with triangle-inequality pruning
-  kQuantized,  ///< int8 candidate tier + exact float re-rank
-};
-
-struct IndexConfig {
-  Backend backend = Backend::kVpTree;
-  /// Subsets at most this large become leaves of the VP-tree.
-  int leaf_size = 12;
-};
-
-/// Per-query work counters, filled when a `QueryStats*` is passed to
-/// `Query`. The serving bench reports them to quantify pruning.
-struct QueryStats {
-  size_t distance_evals = 0;  ///< exact float distance evaluations
-  size_t nodes_visited = 0;
-  /// Members the quantized tier's lower bound excluded without an exact
-  /// evaluation (kQuantized only).
-  size_t lb_prunes = 0;
 };
 
 /// \brief Deterministic exact K-nearest-neighbor index over embeddings.
@@ -53,30 +25,20 @@ struct QueryStats {
 /// * Neighbors are ordered by the pair `(distance, index)`, so ties
 ///   break on the smaller member index — the same deterministic order
 ///   the historical `partial_sort` over `(distance, index)` pairs
-///   produced, at any thread count and with any backend. Internally the
-///   order is tracked as `(squared distance, index)`: sqrt is monotone,
-///   so this refines the historical order — the only divergence is when
-///   two *distinct* squared distances round to the same sqrt, where the
-///   smaller squared distance now wins before the index tie-break. The
-///   reported distance is the same `sqrt(SquaredL2)` bits as before.
+///   produced, at any thread count. Internally the order is tracked as
+///   `(squared distance, index)`: sqrt is monotone, so this refines the
+///   historical order — the only divergence is when two *distinct*
+///   squared distances round to the same sqrt, where the smaller
+///   squared distance now wins before the index tie-break. The reported
+///   distance is the same `sqrt(SquaredL2)` bits as before.
 /// * A non-finite query embedding retrieves nothing (callers degrade).
 ///
-/// The VP-tree is built deterministically (pivot choice is a pure
-/// function of the member ids in a subtree) and performs exact search:
-/// a subtree is pruned only when the triangle inequality proves it
-/// cannot contain a neighbor at least as good — under the same
-/// `(distance, index)` order — as the current k-th candidate.
-///
-/// The quantized backend keeps an int8 copy of every stored embedding
-/// (per-dimension affine quantization; params live with the index and
-/// are serialized by `Serialize`). A query first scans the codes with
-/// `util::simd::QuantLowerBound` — a provable lower bound on the exact
-/// squared distance — then walks candidates in ascending (bound, index)
-/// order doing exact float re-ranks, stopping once the bound exceeds
-/// the current k-th squared distance. A candidate whose bound *equals*
-/// the k-th distance is still evaluated (an equal distance can win the
-/// index tie-break), so exactness holds by construction; see DESIGN.md
-/// §5.10.
+/// A query is one linear scan of a contiguous row-major copy of the
+/// members with `util::simd::SquaredL2`, whose fixed reduction order
+/// makes every neighbor list bit-identical at every dispatch level. At
+/// RCS scale (16-d, tens to about a thousand members) a VP-tree or an
+/// int8 candidate tier saves no measurable end-to-end time; see
+/// DESIGN.md §5.8.
 class Index {
  public:
   Index() = default;
@@ -84,19 +46,19 @@ class Index {
   /// Builds an index over `points` (all rows must share one dimension).
   /// `usable` (empty = all usable) marks members that may be retrieved;
   /// the advisor passes its non-finite-embedding mask here.
-  static Index Build(std::vector<std::vector<double>> points,
-                     std::vector<char> usable = {}, IndexConfig config = {});
+  static Index Build(const std::vector<std::vector<double>>& points,
+                     std::vector<char> usable = {});
 
   /// Total number of members, including unusable ones.
-  size_t size() const { return points_.size(); }
+  size_t size() const { return usable_.size(); }
 
   /// Number of members eligible for retrieval.
   size_t usable_size() const { return usable_count_; }
 
-  const IndexConfig& config() const { return config_; }
-
-  /// The member embeddings the index was built over.
-  const std::vector<std::vector<double>>& points() const { return points_; }
+  /// The embedding of member `i`.
+  std::span<const double> Point(size_t i) const {
+    return std::span<const double>(flat_.data() + i * dim_, dim_);
+  }
 
   /// Whether member `i` can be retrieved.
   bool usable(size_t i) const { return usable_[i] != 0; }
@@ -108,79 +70,14 @@ class Index {
   /// A non-finite query returns an empty list.
   std::vector<Neighbor> Query(std::span<const double> query, size_t k,
                               size_t exclude = SIZE_MAX,
-                              const std::vector<char>* allowed = nullptr,
-                              QueryStats* stats = nullptr) const;
-
-  /// Writes the index — config, members, usable mask, and the
-  /// quantization params (per-dimension minima and steps plus the int8
-  /// codes) — to `writer`. The VP-tree is not written: its construction
-  /// is a pure function of (members, usable, config) and is rebuilt on
-  /// load, bit-identically.
-  void Serialize(BinaryWriter* writer) const;
-
-  /// Inverse of `Serialize`. The deserialized index reuses the stored
-  /// quantization params rather than re-deriving them.
-  static Result<Index> Deserialize(BinaryReader* reader);
+                              const std::vector<char>* allowed = nullptr) const;
 
  private:
-  struct Node {
-    size_t pivot = 0;       ///< member index of the vantage point
-    double radius = 0.0;    ///< median pivot distance of the subtree
-    int32_t inside = -1;    ///< child holding distance <= radius
-    int32_t outside = -1;   ///< child holding distance > radius
-    uint32_t leaf_begin = 0;  ///< leaf: range into leaf_items_
-    uint32_t leaf_end = 0;
-    bool is_leaf = false;
-  };
-
-  /// Running k-best entry in squared-distance space.
-  struct Candidate {
-    double sq = 0.0;
-    size_t index = 0;
-  };
-
-  /// Flattens points_ into flat_/dim_ and builds the backend-specific
-  /// structures (VP-tree nodes or quantization codes).
-  void FinishBuild(bool derive_quant);
-
-  int32_t BuildNode(std::vector<size_t>* ids, size_t begin, size_t end);
-
-  /// Derives per-dimension affine int8 params over finite coordinates
-  /// of usable members, then encodes every member.
-  void BuildQuant();
-
-  void SearchNode(int32_t node_id, std::span<const double> query, size_t k,
-                  size_t exclude, const std::vector<char>* allowed,
-                  std::vector<Candidate>* best, QueryStats* stats) const;
-
-  void QueryQuantized(std::span<const double> query, size_t k, size_t exclude,
-                      const std::vector<char>* allowed,
-                      std::vector<Candidate>* best, QueryStats* stats) const;
-
-  /// Offers member `i` at squared distance `sq` to the running k-best
-  /// list (lexicographic (sq, index) order; non-finite rejected).
-  static void Offer(size_t i, double sq, size_t k,
-                    std::vector<Candidate>* best);
-
-  std::span<const double> PointSpan(size_t i) const {
-    return std::span<const double>(flat_.data() + i * dim_, dim_);
-  }
-
-  std::vector<std::vector<double>> points_;
   std::vector<char> usable_;
   size_t usable_count_ = 0;
-  IndexConfig config_;
   size_t dim_ = 0;
-  /// Contiguous row-major copy of points_ — the scan/leaf kernels read
-  /// this, not the per-member vectors.
+  /// Row-major member embeddings, size() * dim_ doubles.
   std::vector<double> flat_;
-  std::vector<Node> nodes_;        // [0] is the root when non-empty
-  std::vector<size_t> leaf_items_;
-  // Quantization params (kQuantized): x ~ qmin_[d] + qstep_[d] * code.
-  std::vector<double> qmin_;
-  std::vector<double> qstep_;
-  std::vector<double> qstep2_;     ///< qstep_[d]^2, the bound weights
-  std::vector<uint8_t> codes_;     ///< size() * dim_, row-major
 };
 
 }  // namespace autoce::knn

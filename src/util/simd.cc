@@ -112,11 +112,6 @@ double SquaredL2(const double* a, const double* b, size_t n) {
   return (lane[0] + lane[2]) + (lane[1] + lane[3]);
 }
 
-void SquaredL2Batch(const double* q, const double* base, size_t rows,
-                    size_t dim, double* out) {
-  for (size_t r = 0; r < rows; ++r) out[r] = SquaredL2(q, base + r * dim, dim);
-}
-
 void DotNorms(const double* a, const double* b, size_t n, double* dot,
               double* norm_a, double* norm_b) {
   double ld[4] = {}, la[4] = {}, lb[4] = {};
@@ -177,25 +172,6 @@ void ReluBackward(const double* pre, double* grad, size_t n) {
   }
 }
 
-void QuantLowerBound(const uint8_t* q, const uint8_t* codes,
-                     const double* step2, size_t rows, size_t dim,
-                     double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    const uint8_t* row = codes + r * dim;
-    double lane[kReduceLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t d = 0; d < dim; ++d) {
-      const int diff = std::abs(static_cast<int>(q[d]) -
-                                static_cast<int>(row[d]));
-      const int slack = diff > 1 ? diff - 1 : 0;
-      // slack^2 <= 254^2 is integer-exact in double, so the only
-      // rounding per step is the fma itself — level-invariant.
-      const double sd = static_cast<double>(slack);
-      lane[d & 3] = std::fma(sd * sd, step2[d], lane[d & 3]);
-    }
-    out[r] = (lane[0] + lane[2]) + (lane[1] + lane[3]);
-  }
-}
-
 }  // namespace scalar
 
 // =====================================================================
@@ -244,11 +220,6 @@ AUTOCE_TARGET_AVX2 double SquaredL2(const double* a, const double* b,
     lane[i & 3] = std::fma(d, d, lane[i & 3]);
   }
   return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-AUTOCE_TARGET_AVX2 void SquaredL2Batch(const double* q, const double* base,
-                                       size_t rows, size_t dim, double* out) {
-  for (size_t r = 0; r < rows; ++r) out[r] = SquaredL2(q, base + r * dim, dim);
 }
 
 AUTOCE_TARGET_AVX2 void DotNorms(const double* a, const double* b, size_t n,
@@ -442,40 +413,6 @@ AUTOCE_TARGET_AVX2 void ReluBackward(const double* pre, double* grad,
   }
 }
 
-AUTOCE_TARGET_AVX2 void QuantLowerBound(const uint8_t* q, const uint8_t* codes,
-                                        const double* step2, size_t rows,
-                                        size_t dim, double* out) {
-  const __m128i ones = _mm_set1_epi32(1);
-  const __m128i zeros = _mm_setzero_si128();
-  for (size_t r = 0; r < rows; ++r) {
-    const uint8_t* row = codes + r * dim;
-    __m256d acc = _mm256_setzero_pd();
-    size_t d = 0;
-    for (; d + 4 <= dim; d += 4) {
-      int32_t qa, ca;
-      std::memcpy(&qa, q + d, 4);
-      std::memcpy(&ca, row + d, 4);
-      const __m128i qi = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(qa));
-      const __m128i ci = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(ca));
-      const __m128i diff = _mm_abs_epi32(_mm_sub_epi32(qi, ci));
-      const __m128i slack = _mm_max_epi32(_mm_sub_epi32(diff, ones), zeros);
-      const __m256d sd = _mm256_cvtepi32_pd(slack);
-      acc = _mm256_fmadd_pd(_mm256_mul_pd(sd, sd),
-                            _mm256_loadu_pd(step2 + d), acc);
-    }
-    alignas(32) double lane[4];
-    _mm256_store_pd(lane, acc);
-    for (; d < dim; ++d) {
-      const int diff =
-          std::abs(static_cast<int>(q[d]) - static_cast<int>(row[d]));
-      const int slack = diff > 1 ? diff - 1 : 0;
-      const double sd = static_cast<double>(slack);
-      lane[d & 3] = std::fma(sd * sd, step2[d], lane[d & 3]);
-    }
-    out[r] = (lane[0] + lane[2]) + (lane[1] + lane[3]);
-  }
-}
-
 }  // namespace avx2
 
 #endif  // AUTOCE_SIMD_HAVE_AVX2
@@ -528,11 +465,6 @@ double SquaredL2(const double* a, const double* b, size_t n) {
     lane[i & 3] = std::fma(d, d, lane[i & 3]);
   }
   return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-void SquaredL2Batch(const double* q, const double* base, size_t rows,
-                    size_t dim, double* out) {
-  for (size_t r = 0; r < rows; ++r) out[r] = SquaredL2(q, base + r * dim, dim);
 }
 
 void DotNorms(const double* a, const double* b, size_t n, double* dot,
@@ -741,8 +673,6 @@ struct Kernels {
                     size_t);
   double (*dot)(const double*, const double*, size_t);
   double (*squared_l2)(const double*, const double*, size_t);
-  void (*squared_l2_batch)(const double*, const double*, size_t, size_t,
-                           double*);
   void (*dot_norms)(const double*, const double*, size_t, double*, double*,
                     double*);
   double (*reduce_sum)(const double*, size_t);
@@ -754,27 +684,25 @@ struct Kernels {
   void (*scale_in_place)(double*, double, size_t);
   void (*relu_in_place)(double*, size_t);
   void (*relu_backward)(const double*, double*, size_t);
-  void (*quant_lower_bound)(const uint8_t*, const uint8_t*, const double*,
-                            size_t, size_t, double*);
 };
 
 constexpr Kernels kScalarTable = {
     Level::kScalar,       scalar::MatMul,       scalar::MatMulTN,
     scalar::MatMulNT,     scalar::Dot,          scalar::SquaredL2,
-    scalar::SquaredL2Batch, scalar::DotNorms,   scalar::ReduceSum,
-    scalar::ReduceSqSum,  scalar::Axpy,         scalar::AddInPlace,
-    scalar::SubInPlace,   scalar::MulInPlace,   scalar::ScaleInPlace,
-    scalar::ReluInPlace,  scalar::ReluBackward, scalar::QuantLowerBound,
+    scalar::DotNorms,     scalar::ReduceSum,    scalar::ReduceSqSum,
+    scalar::Axpy,         scalar::AddInPlace,   scalar::SubInPlace,
+    scalar::MulInPlace,   scalar::ScaleInPlace, scalar::ReluInPlace,
+    scalar::ReluBackward,
 };
 
 #if AUTOCE_SIMD_HAVE_AVX2
 constexpr Kernels kAvx2Table = {
     Level::kAvx2,         avx2::MatMul,         avx2::MatMulTN,
     avx2::MatMulNT,       avx2::Dot,            avx2::SquaredL2,
-    avx2::SquaredL2Batch, avx2::DotNorms,       avx2::ReduceSum,
-    avx2::ReduceSqSum,    avx2::Axpy,           avx2::AddInPlace,
-    avx2::SubInPlace,     avx2::MulInPlace,     avx2::ScaleInPlace,
-    avx2::ReluInPlace,    avx2::ReluBackward,   avx2::QuantLowerBound,
+    avx2::DotNorms,       avx2::ReduceSum,      avx2::ReduceSqSum,
+    avx2::Axpy,           avx2::AddInPlace,     avx2::SubInPlace,
+    avx2::MulInPlace,     avx2::ScaleInPlace,   avx2::ReluInPlace,
+    avx2::ReluBackward,
 };
 #endif
 
@@ -782,13 +710,10 @@ constexpr Kernels kAvx2Table = {
 constexpr Kernels kNeonTable = {
     Level::kNeon,         neon::MatMul,         neon::MatMulTN,
     neon::MatMulNT,       neon::Dot,            neon::SquaredL2,
-    neon::SquaredL2Batch, neon::DotNorms,       neon::ReduceSum,
-    neon::ReduceSqSum,    neon::Axpy,           neon::AddInPlace,
-    neon::SubInPlace,     neon::MulInPlace,     neon::ScaleInPlace,
-    neon::ReluInPlace,    neon::ReluBackward,
-    // NEON has no int8-lane win for the bound kernel at our dims; the
-    // scalar loop is level-invariant by contract.
-    scalar::QuantLowerBound,
+    neon::DotNorms,       neon::ReduceSum,      neon::ReduceSqSum,
+    neon::Axpy,           neon::AddInPlace,     neon::SubInPlace,
+    neon::MulInPlace,     neon::ScaleInPlace,   neon::ReluInPlace,
+    neon::ReluBackward,
 };
 #endif
 
@@ -955,11 +880,6 @@ double SquaredL2(const double* a, const double* b, size_t n) {
   return Active().squared_l2(a, b, n);
 }
 
-void SquaredL2Batch(const double* q, const double* base, size_t rows,
-                    size_t dim, double* out) {
-  Active().squared_l2_batch(q, base, rows, dim, out);
-}
-
 void DotNorms(const double* a, const double* b, size_t n, double* dot,
               double* norm_a, double* norm_b) {
   Active().dot_norms(a, b, n, dot, norm_a, norm_b);
@@ -995,12 +915,6 @@ void ReluInPlace(double* x, size_t n) { Active().relu_in_place(x, n); }
 
 void ReluBackward(const double* pre, double* grad, size_t n) {
   Active().relu_backward(pre, grad, n);
-}
-
-void QuantLowerBound(const uint8_t* q, const uint8_t* codes,
-                     const double* step2, size_t rows, size_t dim,
-                     double* out) {
-  Active().quant_lower_bound(q, codes, step2, rows, dim, out);
 }
 
 }  // namespace autoce::util::simd

@@ -15,10 +15,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "data/generator.h"
+#include "knn/index.h"
 #include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/snapshot.h"
@@ -531,24 +533,29 @@ TEST_F(ServerTest, OnlineAppendRefreshesEmbeddingsIncrementally) {
   std::vector<advisor::DatasetLabel> train_labels(labels_->begin(),
                                                   labels_->begin() + 9);
   ASSERT_TRUE(advisor.Fit(train, train_labels).ok());
-  std::vector<std::vector<double>> before = advisor.rcs_index().points();
+  const knn::Index& index = advisor.rcs_index();
+  std::vector<std::vector<double>> before;
+  for (size_t i = 0; i < index.size(); ++i) {
+    before.emplace_back(index.Point(i).begin(), index.Point(i).end());
+  }
   uint64_t digest_before = advisor.EncoderDigest();
 
   ASSERT_TRUE(
       advisor.AddLabeledSample((*graphs_)[9], (*labels_)[9]).ok());
   EXPECT_EQ(advisor.EncoderDigest(), digest_before);
-  const auto& after = advisor.rcs_index().points();
+  const knn::Index& after = advisor.rcs_index();
   ASSERT_EQ(after.size(), before.size() + 1);
   for (size_t i = 0; i < before.size(); ++i) {
-    ASSERT_EQ(after[i].size(), before[i].size());
+    ASSERT_EQ(after.Point(i).size(), before[i].size());
     for (size_t d = 0; d < before[i].size(); ++d) {
-      EXPECT_TRUE(SameBits(after[i][d], before[i][d])) << "member " << i;
+      EXPECT_TRUE(SameBits(after.Point(i)[d], before[i][d])) << "member " << i;
     }
   }
   std::vector<double> fresh = advisor.Embed((*graphs_)[9]);
-  ASSERT_EQ(after.back().size(), fresh.size());
+  std::span<const double> appended = after.Point(after.size() - 1);
+  ASSERT_EQ(appended.size(), fresh.size());
   for (size_t d = 0; d < fresh.size(); ++d) {
-    EXPECT_TRUE(SameBits(after.back()[d], fresh[d]));
+    EXPECT_TRUE(SameBits(appended[d], fresh[d]));
   }
   EXPECT_EQ(advisor.DistanceToRcs((*graphs_)[9]), 0.0);
 }

@@ -23,7 +23,6 @@
 //                    [--out F.adat]
 //   autoce dyn stats --dataset F.adat
 //   autoce inspect   (--model model.ace | --snapshot-dir DIR)
-//   autoce metrics dump [--json]
 //   autoce faults list
 //
 // `generate` writes synthetic datasets as .adat files; `train` labels
@@ -80,11 +79,9 @@
 // stats` prints a dataset's epoch state and per-table shape.
 //
 // Telemetry (DESIGN.md §5.9): with AUTOCE_METRICS set, every command
-// records obs counters/histograms; `serve` prints the Prometheus dump
-// at the end and `metrics dump` prints the current registry (of this
-// process — metrics are in-process, so it shows only instrument names
-// unless combined with other flags in one invocation). `faults list`
-// prints the registered fault and kill sites with per-site trip counts.
+// records obs counters/histograms and `serve` prints the Prometheus
+// dump at the end. `faults list` prints the registered fault and kill
+// sites with per-site trip counts.
 // With AUTOCE_RUN_MANIFEST set, each command writes a RUN_<cmd>.json
 // run manifest (config, seed, git describe, wall time, final metrics).
 
@@ -722,25 +719,6 @@ int CmdAdapt(const Args& args) {
   return 0;
 }
 
-int CmdMetrics(const Args& args) {
-  if (args.positional.empty() || args.positional[0] != "dump") {
-    std::fprintf(stderr, "metrics: expected `metrics dump [--json]`\n");
-    return 2;
-  }
-  auto& registry = obs::MetricsRegistry::Instance();
-  if (args.Has("json")) {
-    std::printf("%s\n", registry.ExportJson().c_str());
-  } else {
-    std::printf("%s", registry.ExportPrometheus().c_str());
-  }
-  if (!obs::MetricsEnabled()) {
-    std::fprintf(stderr,
-                 "note: metrics are dormant (set AUTOCE_METRICS=1 to record; "
-                 "a path value dumps Prometheus text at exit)\n");
-  }
-  return 0;
-}
-
 int CmdFaults(const Args& args) {
   if (args.positional.empty() || args.positional[0] != "list") {
     std::fprintf(stderr, "faults: expected `faults list`\n");
@@ -1085,7 +1063,7 @@ int CmdVersion(const Args& args) {
 int Usage() {
   std::fprintf(stderr,
                "usage: autoce <generate|train|recommend|serve|adapt|fss|dyn|"
-               "inspect|metrics|faults|version> [flags]\n"
+               "inspect|faults|version> [flags]\n"
                "see the header of tools/autoce_cli.cc for details\n");
   return 2;
 }
@@ -1102,7 +1080,6 @@ int Main(int argc, char** argv) {
   else if (cmd == "serve") rc = CmdServe(args);
   else if (cmd == "adapt") rc = CmdAdapt(args);
   else if (cmd == "inspect") rc = CmdInspect(args);
-  else if (cmd == "metrics") rc = CmdMetrics(args);
   else if (cmd == "faults") rc = CmdFaults(args);
   else if (cmd == "fss") rc = CmdFss(args);
   else if (cmd == "dyn") rc = CmdDyn(args);
