@@ -3,84 +3,36 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/snapshot.h"
 
 namespace autoce::adapt {
 
-namespace {
-
-uint64_t Fnv1a(const void* data, std::size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Queue instruments (DESIGN.md §5.9): counters mirror
-/// FeedbackQueueStats field for field; the gauge tracks depth().
-struct QueueMetrics {
-  obs::Counter* offered;
-  obs::Counter* admitted;
-  obs::Counter* deduped;
-  obs::Counter* evicted;
-  obs::Counter* rejected_full;
-  obs::Counter* rejected_fault;
-  obs::Counter* drained;
-  obs::Gauge* depth;
-  static const QueueMetrics& Get() {
-    static const QueueMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::Instance();
-      return QueueMetrics{reg.GetCounter("adapt.queue.offered"),
-                          reg.GetCounter("adapt.queue.admitted"),
-                          reg.GetCounter("adapt.queue.deduped"),
-                          reg.GetCounter("adapt.queue.evicted"),
-                          reg.GetCounter("adapt.queue.rejected_full"),
-                          reg.GetCounter("adapt.queue.rejected_fault"),
-                          reg.GetCounter("adapt.queue.drained"),
-                          reg.GetGauge("adapt.queue.depth")};
-    }();
-    return m;
-  }
-};
-
-}  // namespace
-
-uint64_t GraphFingerprint(const featgraph::FeatureGraph& graph) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  h = Fnv1a(graph.dataset_name.data(), graph.dataset_name.size(), h);
-  uint64_t dims[2] = {static_cast<uint64_t>(graph.vertices.rows()),
-                      static_cast<uint64_t>(graph.vertices.cols())};
-  h = Fnv1a(dims, sizeof(dims), h);
-  h = Fnv1a(graph.vertices.data(), graph.vertices.size() * sizeof(double), h);
-  h = Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double), h);
-  return h;
-}
-
 FeedbackQueue::FeedbackQueue(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity),
+      stats_export_("adapt.queue", [this] {
+        std::lock_guard<std::mutex> lock(mu_);
+        return ExportedFields(stats_, items_.size());
+      }) {}
 
 Admission FeedbackQueue::Offer(data::Dataset dataset,
                                featgraph::FeatureGraph graph,
                                double distance) {
-  const QueueMetrics& metrics = QueueMetrics::Get();
-  uint64_t fingerprint = GraphFingerprint(graph);
+  uint64_t fingerprint = featgraph::GraphFingerprint(graph);
+  // Decided before taking mu_: a tripped fault counts itself in the
+  // metrics registry, which must never be entered under mu_.
+  const bool fault =
+      util::FaultPoint(util::fault_sites::kAdaptEnqueue, fingerprint);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.offered;
-  metrics.offered->Add();
 
-  if (util::FaultPoint(util::fault_sites::kAdaptEnqueue, fingerprint)) {
+  if (fault) {
     ++stats_.rejected_fault;
-    metrics.rejected_fault->Add();
     return Admission::kRejectedFault;
   }
   for (const OodCandidate& pending : items_) {
     if (pending.fingerprint == fingerprint) {
       ++stats_.deduped;
-      metrics.deduped->Add();
       return Admission::kDuplicate;
     }
   }
@@ -101,12 +53,10 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
     }
     if (victim->distance >= distance) {
       ++stats_.rejected_full;
-      metrics.rejected_full->Add();
       return Admission::kRejectedFull;
     }
     items_.erase(victim);
     ++stats_.evicted;
-    metrics.evicted->Add();
     evicted = true;
   }
 
@@ -118,8 +68,6 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
   item.fingerprint = fingerprint;
   items_.push_back(std::move(item));
   ++stats_.admitted;
-  metrics.admitted->Add();
-  metrics.depth->Set(static_cast<double>(items_.size()));
   // Crash window: the candidate is admitted but the queue is in-memory
   // by design — dying here loses pending feedback, never the durable
   // model (the recovery harness re-offers the stream on restart).
@@ -128,7 +76,6 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
 }
 
 std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {
-  const QueueMetrics& metrics = QueueMetrics::Get();
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<OodCandidate> batch;
   // Drain in arrival order (the deque is sequence-sorted: eviction
@@ -140,8 +87,6 @@ std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {
     items_.pop_front();
   }
   stats_.drained += n;
-  metrics.drained->Add(static_cast<int64_t>(n));
-  metrics.depth->Set(static_cast<double>(items_.size()));
   return batch;
 }
 

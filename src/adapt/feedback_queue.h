@@ -8,15 +8,9 @@
 
 #include "data/dataset.h"
 #include "featgraph/featgraph.h"
+#include "obs/metrics.h"
 
 namespace autoce::adapt {
-
-/// FNV-1a fingerprint of a feature graph's content (name, shape,
-/// vertex/edge bytes). The adaptation loop keys everything on it:
-/// queue dedup, fault/kill decisions, per-item labeler seeds, and the
-/// replay dedup against the trainer's RCS — so every per-item decision
-/// is a pure function of the item, never of arrival position.
-uint64_t GraphFingerprint(const featgraph::FeatureGraph& graph);
 
 /// One out-of-distribution dataset waiting to be labeled and trained
 /// into the RCS. The dataset rides along because the testbed labels
@@ -28,7 +22,10 @@ struct OodCandidate {
   /// the admission priority (most-OOD feedback is the most valuable).
   double distance = 0.0;
   uint64_t sequence = 0;     ///< assigned by the queue: arrival order
-  uint64_t fingerprint = 0;  ///< assigned by the queue: GraphFingerprint
+  /// Assigned by the queue: featgraph::GraphFingerprint, so every
+  /// per-item decision is a pure function of the item, never of arrival
+  /// position.
+  uint64_t fingerprint = 0;
 };
 
 /// Outcome of one Offer.
@@ -50,6 +47,17 @@ struct FeedbackQueueStats {
   uint64_t rejected_fault = 0;
   uint64_t drained = 0;
 };
+
+/// The queue's exported fields (`adapt.queue.*`, obs::StatsExport):
+/// every counter plus the `depth` level.
+inline std::vector<obs::StatsField> ExportedFields(
+    const FeedbackQueueStats& s, std::size_t depth) {
+  return {{"offered", s.offered},     {"admitted", s.admitted},
+          {"deduped", s.deduped},     {"evicted", s.evicted},
+          {"rejected_full", s.rejected_full},
+          {"rejected_fault", s.rejected_fault},
+          {"drained", s.drained},     {"depth", depth, obs::FieldKind::kLevel}};
+}
 
 /// \brief Bounded, lossy-by-policy feedback queue (DESIGN.md §5.11).
 ///
@@ -91,6 +99,7 @@ class FeedbackQueue {
   std::deque<OodCandidate> items_;  // ascending sequence; guarded by mu_
   uint64_t next_sequence_ = 0;      // guarded by mu_
   FeedbackQueueStats stats_;        // guarded by mu_
+  obs::StatsExport stats_export_;   // last: unregisters first
 };
 
 }  // namespace autoce::adapt

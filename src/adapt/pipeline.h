@@ -1,6 +1,7 @@
 #ifndef AUTOCE_ADAPT_PIPELINE_H_
 #define AUTOCE_ADAPT_PIPELINE_H_
 
+#include <cmath>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -94,6 +95,25 @@ struct AdaptationStats {
   uint64_t reload_failures = 0;
   double backoff_ms_total = 0.0;
 };
+
+/// The pipeline's exported fields (`adapt.*`, obs::StatsExport); the
+/// backoff total exports in whole milliseconds.
+inline std::vector<obs::StatsField> ExportedFields(const AdaptationStats& s) {
+  return {{"batches", s.batches},     {"items_seen", s.items_seen},
+          {"items_applied", s.items_applied},
+          {"items_deduped", s.items_deduped},
+          {"items_quarantined", s.items_quarantined},
+          {"labels_ok", s.labels_ok}, {"labels_sentinel", s.labels_sentinel},
+          {"labels_budget_expired", s.labels_budget_expired},
+          {"label_retries", s.label_retries},
+          {"train_retries", s.train_retries},
+          {"commit_failures", s.commit_failures},
+          {"generations_committed", s.generations_committed},
+          {"reloads_triggered", s.reloads_triggered},
+          {"reload_failures", s.reload_failures},
+          {"backoff_ms_total",
+           static_cast<uint64_t>(std::llround(s.backoff_ms_total))}};
+}
 
 /// What one RunOnce cycle did.
 struct BatchReport {
@@ -278,6 +298,8 @@ class AdaptationPipeline {
                   const std::string& reason, BatchReport* report);
   void LoadQuarantineLog();
   void Backoff(uint64_t fingerprint, int attempt);
+  /// Adds `delta` to one counter under stats_mu_.
+  void Count(uint64_t AdaptationStats::*field, uint64_t delta = 1);
   void WorkerLoop();
 
   const AdaptationConfig config_;
@@ -312,6 +334,9 @@ class AdaptationPipeline {
   bool stop_ = false;       // guarded by worker_mu_
   bool running_ = false;    // guarded by worker_mu_
   std::thread worker_;      // guarded by worker_mu_ (start/join)
+
+  obs::StatsExport stats_export_{"adapt",
+                                 [this] { return ExportedFields(stats()); }};
 };
 
 /// The all-sentinel degraded label: every model at the score floor and

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/serde.h"
@@ -651,8 +652,9 @@ Result<nn::Matrix> ReadMatrix(BinaryReader* r) {
   uint64_t cols = r->ReadU64();
   std::vector<double> data = r->ReadDoubles();
   if (!r->status().ok()) return r->status();
-  if (data.size() != rows * cols) {
-    return Status::Internal("matrix payload size mismatch");
+  uint64_t size = 0;
+  if (__builtin_mul_overflow(rows, cols, &size) || data.size() != size) {
+    return Status::DataLoss("matrix payload size mismatch");
   }
   nn::Matrix m(rows, cols);
   for (size_t i = 0; i < data.size(); ++i) m.data()[i] = data[i];
@@ -674,6 +676,85 @@ Status ValidateLoadedConfig(const AutoCeConfig& config) {
 
 }  // namespace
 
+void AutoCe::WriteRcs(BinaryWriter* w) const {
+  w->WriteU64(graphs_.size());
+  for (size_t i = 0; i < graphs_.size(); ++i) {
+    w->WriteString(graphs_[i].dataset_name);
+    WriteMatrix(w, graphs_[i].vertices);
+    WriteMatrix(w, graphs_[i].edges);
+    const DatasetLabel& label = labels_[i];
+    for (size_t m = 0; m < ce::kNumModels; ++m) {
+      w->WriteDouble(label.accuracy_score[m]);
+      w->WriteDouble(label.efficiency_score[m]);
+      w->WriteDouble(label.qerror_mean[m]);
+      w->WriteDouble(label.latency_ms[m]);
+      w->WriteU32(label.failed[m] ? 1 : 0);
+    }
+  }
+  w->WriteDoubles(label_mean_);
+}
+
+Status AutoCe::ReadRcs(BinaryReader* r) {
+  uint64_t n = r->ReadU64();
+  AUTOCE_RETURN_NOT_OK(r->status());
+  for (uint64_t i = 0; i < n; ++i) {
+    featgraph::FeatureGraph g;
+    g.dataset_name = r->ReadString();
+    AUTOCE_ASSIGN_OR_RETURN(g.vertices, ReadMatrix(r));
+    AUTOCE_ASSIGN_OR_RETURN(g.edges, ReadMatrix(r));
+    // Every RCS member passed this gate when it was added; a member
+    // that fails it now is corrupt, and the encoder would abort on it.
+    Status valid = featgraph::ValidateGraph(g, extractor_.vertex_dim());
+    if (!valid.ok()) return Status::DataLoss(valid.message());
+    DatasetLabel label;
+    for (size_t m = 0; m < ce::kNumModels; ++m) {
+      label.accuracy_score[m] = r->ReadDouble();
+      label.efficiency_score[m] = r->ReadDouble();
+      label.qerror_mean[m] = r->ReadDouble();
+      label.latency_ms[m] = r->ReadDouble();
+      label.failed[m] = r->ReadU32() != 0;
+    }
+    graphs_.push_back(std::move(g));
+    labels_.push_back(label);
+  }
+  label_mean_ = r->ReadDoubles();
+  AUTOCE_RETURN_NOT_OK(r->status());
+  if (label_mean_.size() !=
+      config_.training_weights.size() * static_cast<size_t>(ce::kNumModels)) {
+    return Status::DataLoss("centering vector size mismatch");
+  }
+  for (const auto& label : labels_) {
+    dml_labels_.push_back(BuildDmlLabel(label));
+  }
+  return Status::OK();
+}
+
+void AutoCe::WriteEncoder(BinaryWriter* w) const {
+  auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
+  w->WriteU64(params.size());
+  for (const nn::Matrix* p : params) WriteMatrix(w, *p);
+}
+
+Status AutoCe::ReadEncoder(BinaryReader* r) {
+  Rng init_rng(1);
+  encoder_ = std::make_unique<gnn::GinEncoder>(extractor_.vertex_dim(),
+                                               config_.gin, &init_rng);
+  auto params = encoder_->Params();
+  uint64_t num_params = r->ReadU64();
+  AUTOCE_RETURN_NOT_OK(r->status());
+  if (num_params != params.size()) {
+    return Status::DataLoss("encoder parameter count mismatch");
+  }
+  for (nn::Matrix* p : params) {
+    AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(r));
+    if (!m.SameShape(*p)) {
+      return Status::DataLoss("encoder parameter shape mismatch");
+    }
+    *p = std::move(m);
+  }
+  return Status::OK();
+}
+
 Status AutoCe::Save(const std::string& path) const {
   if (encoder_ == nullptr) {
     return Status::FailedPrecondition("cannot save an unfitted advisor");
@@ -691,28 +772,10 @@ Status AutoCe::Save(const std::string& path) const {
   w.WriteDouble(config_.drift_percentile);
   w.WriteDoubles(config_.training_weights);
 
-  // RCS graphs + labels.
-  w.WriteU64(graphs_.size());
-  for (size_t i = 0; i < graphs_.size(); ++i) {
-    w.WriteString(graphs_[i].dataset_name);
-    WriteMatrix(&w, graphs_[i].vertices);
-    WriteMatrix(&w, graphs_[i].edges);
-    const DatasetLabel& label = labels_[i];
-    for (int m = 0; m < ce::kNumModels; ++m) {
-      w.WriteDouble(label.accuracy_score[static_cast<size_t>(m)]);
-      w.WriteDouble(label.efficiency_score[static_cast<size_t>(m)]);
-      w.WriteDouble(label.qerror_mean[static_cast<size_t>(m)]);
-      w.WriteDouble(label.latency_ms[static_cast<size_t>(m)]);
-      w.WriteU32(label.failed[static_cast<size_t>(m)] ? 1 : 0);
-    }
-  }
-
-  w.WriteDoubles(label_mean_);
-
-  // Encoder parameters.
-  auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
-  w.WriteU64(params.size());
-  for (const nn::Matrix* p : params) WriteMatrix(&w, *p);
+  // The body is byte-for-byte the `rcs` then the `encoder` snapshot
+  // section.
+  WriteRcs(&w);
+  WriteEncoder(&w);
   return w.Close();
 }
 
@@ -740,52 +803,8 @@ Result<AutoCe> AutoCe::Load(const std::string& path) {
   AUTOCE_RETURN_NOT_OK(ValidateLoadedConfig(config));
 
   AutoCe advisor(config);
-
-  uint64_t n = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (uint64_t i = 0; i < n; ++i) {
-    featgraph::FeatureGraph g;
-    g.dataset_name = r.ReadString();
-    AUTOCE_ASSIGN_OR_RETURN(g.vertices, ReadMatrix(&r));
-    AUTOCE_ASSIGN_OR_RETURN(g.edges, ReadMatrix(&r));
-    DatasetLabel label;
-    for (int m = 0; m < ce::kNumModels; ++m) {
-      label.accuracy_score[static_cast<size_t>(m)] = r.ReadDouble();
-      label.efficiency_score[static_cast<size_t>(m)] = r.ReadDouble();
-      label.qerror_mean[static_cast<size_t>(m)] = r.ReadDouble();
-      label.latency_ms[static_cast<size_t>(m)] = r.ReadDouble();
-      label.failed[static_cast<size_t>(m)] = r.ReadU32() != 0;
-    }
-    advisor.graphs_.push_back(std::move(g));
-    advisor.labels_.push_back(label);
-  }
-  advisor.label_mean_ = r.ReadDoubles();
-  if (!r.status().ok()) return r.status();
-  if (advisor.label_mean_.size() !=
-      config.training_weights.size() * static_cast<size_t>(ce::kNumModels)) {
-    return Status::DataLoss("model centering vector size mismatch");
-  }
-  for (const auto& label : advisor.labels_) {
-    advisor.dml_labels_.push_back(advisor.BuildDmlLabel(label));
-  }
-
-  Rng init_rng(1);
-  advisor.encoder_ = std::make_unique<gnn::GinEncoder>(
-      advisor.extractor_.vertex_dim(), config.gin, &init_rng);
-  auto params = advisor.encoder_->Params();
-  uint64_t num_params = r.ReadU64();
-  if (r.status().ok() && num_params != params.size()) {
-    return Status::Internal("encoder parameter count mismatch");
-  }
-  for (nn::Matrix* p : params) {
-    AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-    if (!m.SameShape(*p)) {
-      return Status::Internal("encoder parameter shape mismatch");
-    }
-    *p = std::move(m);
-  }
-  if (!r.status().ok()) return r.status();
-
+  AUTOCE_RETURN_NOT_OK(advisor.ReadRcs(&r));
+  AUTOCE_RETURN_NOT_OK(advisor.ReadEncoder(&r));
   advisor.RefreshEmbeddings();
   advisor.RefreshDriftThreshold();
   return advisor;
@@ -819,14 +838,7 @@ Rng::State ReadRngState(BinaryReader* r) {
   return s;
 }
 
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using util::Fnv1a;
 
 uint64_t DigestMatrix(const nn::Matrix& m, uint64_t h) {
   uint64_t dims[2] = {static_cast<uint64_t>(m.rows()),
@@ -916,29 +928,13 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
   }
   if (rcs_section_cache_.empty()) {
     BinaryWriter w;
-    w.WriteU64(graphs_.size());
-    for (size_t i = 0; i < graphs_.size(); ++i) {
-      w.WriteString(graphs_[i].dataset_name);
-      WriteMatrix(&w, graphs_[i].vertices);
-      WriteMatrix(&w, graphs_[i].edges);
-      const DatasetLabel& label = labels_[i];
-      for (int m = 0; m < ce::kNumModels; ++m) {
-        w.WriteDouble(label.accuracy_score[static_cast<size_t>(m)]);
-        w.WriteDouble(label.efficiency_score[static_cast<size_t>(m)]);
-        w.WriteDouble(label.qerror_mean[static_cast<size_t>(m)]);
-        w.WriteDouble(label.latency_ms[static_cast<size_t>(m)]);
-        w.WriteU32(label.failed[static_cast<size_t>(m)] ? 1 : 0);
-      }
-    }
-    w.WriteDoubles(label_mean_);
+    WriteRcs(&w);
     rcs_section_cache_ = w.buffer();
   }
   sections.push_back({kSecRcs, rcs_section_cache_});
   {
     BinaryWriter w;
-    auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
-    w.WriteU64(params.size());
-    for (const nn::Matrix* p : params) WriteMatrix(&w, *p);
+    WriteEncoder(&w);
     sections.push_back({kSecEncoder, w.buffer()});
   }
   {
@@ -1025,54 +1021,12 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
   {
     const auto* sec = FindSection(sections, kSecRcs);
     BinaryReader r(sec->payload.data(), sec->payload.size());
-    uint64_t n = r.ReadU64();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    for (uint64_t i = 0; i < n; ++i) {
-      featgraph::FeatureGraph g;
-      g.dataset_name = r.ReadString();
-      AUTOCE_ASSIGN_OR_RETURN(g.vertices, ReadMatrix(&r));
-      AUTOCE_ASSIGN_OR_RETURN(g.edges, ReadMatrix(&r));
-      DatasetLabel label;
-      for (int m = 0; m < ce::kNumModels; ++m) {
-        label.accuracy_score[static_cast<size_t>(m)] = r.ReadDouble();
-        label.efficiency_score[static_cast<size_t>(m)] = r.ReadDouble();
-        label.qerror_mean[static_cast<size_t>(m)] = r.ReadDouble();
-        label.latency_ms[static_cast<size_t>(m)] = r.ReadDouble();
-        label.failed[static_cast<size_t>(m)] = r.ReadU32() != 0;
-      }
-      advisor.graphs_.push_back(std::move(g));
-      advisor.labels_.push_back(label);
-    }
-    advisor.label_mean_ = r.ReadDoubles();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    if (advisor.label_mean_.size() !=
-        config.training_weights.size() * static_cast<size_t>(ce::kNumModels)) {
-      return Status::DataLoss("snapshot centering vector size mismatch");
-    }
-    for (const auto& label : advisor.labels_) {
-      advisor.dml_labels_.push_back(advisor.BuildDmlLabel(label));
-    }
+    AUTOCE_RETURN_NOT_OK(advisor.ReadRcs(&r));
   }
-
   {
     const auto* sec = FindSection(sections, kSecEncoder);
     BinaryReader r(sec->payload.data(), sec->payload.size());
-    Rng init_rng(1);
-    advisor.encoder_ = std::make_unique<gnn::GinEncoder>(
-        advisor.extractor_.vertex_dim(), config.gin, &init_rng);
-    auto params = advisor.encoder_->Params();
-    uint64_t num_params = r.ReadU64();
-    if (r.status().ok() && num_params != params.size()) {
-      return Status::DataLoss("snapshot encoder parameter count mismatch");
-    }
-    for (nn::Matrix* p : params) {
-      AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-      if (!m.SameShape(*p)) {
-        return Status::DataLoss("snapshot encoder parameter shape mismatch");
-      }
-      *p = std::move(m);
-    }
-    AUTOCE_RETURN_NOT_OK(r.status());
+    AUTOCE_RETURN_NOT_OK(advisor.ReadEncoder(&r));
     advisor.trainer_ =
         std::make_unique<gnn::DmlTrainer>(advisor.encoder_.get(), config.dml);
   }
@@ -1172,7 +1126,7 @@ Result<AutoCe> AutoCe::ResumeFit(const std::string& dir,
 
 uint64_t AutoCe::EncoderDigest() const {
   if (encoder_ == nullptr) return 0;
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  uint64_t h = util::kFnvOffsetBasis;
   auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
   for (const nn::Matrix* p : params) h = DigestMatrix(*p, h);
   // 0 is the "invalid" sentinel of embed_digest_; remap the (absurdly
@@ -1181,7 +1135,7 @@ uint64_t AutoCe::EncoderDigest() const {
 }
 
 uint64_t AutoCe::ModelDigest() const {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  uint64_t h = util::kFnvOffsetBasis;
   uint64_t n = graphs_.size();
   h = Fnv1a(&n, sizeof(n), h);
   for (size_t i = 0; i < graphs_.size(); ++i) {

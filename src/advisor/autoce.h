@@ -11,6 +11,11 @@
 #include "util/result.h"
 #include "util/snapshot.h"
 
+namespace autoce {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace autoce
+
 namespace autoce::advisor {
 
 /// Configuration of the full AutoCE advisor.
@@ -289,6 +294,16 @@ class AutoCe {
   /// Commits the current state into the attached store and passes the
   /// `advisor.checkpoint` kill point; OK when no store is attached.
   Status CommitCheckpoint();
+
+  /// The one codec of the persisted RCS (graphs, labels, failed flags,
+  /// centering vector) and of the encoder parameters, shared by `.ace`
+  /// files and the `rcs`/`encoder` snapshot sections. The readers fill
+  /// an advisor freshly constructed from its config; a corrupt or
+  /// mis-shaped payload is DataLoss.
+  void WriteRcs(BinaryWriter* w) const;
+  Status ReadRcs(BinaryReader* r);
+  void WriteEncoder(BinaryWriter* w) const;
+  Status ReadEncoder(BinaryReader* r);
 
   std::vector<util::SnapshotSection> BuildSnapshotSections() const;
   static Result<AutoCe> FromSnapshotSections(

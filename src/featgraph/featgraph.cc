@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -122,6 +123,17 @@ std::vector<double> FeatureExtractor::Flatten(const FeatureGraph& graph,
     }
   }
   return out;
+}
+
+uint64_t GraphFingerprint(const FeatureGraph& graph) {
+  using util::Fnv1a;
+  uint64_t h = Fnv1a(graph.dataset_name.data(), graph.dataset_name.size());
+  uint64_t dims[2] = {static_cast<uint64_t>(graph.vertices.rows()),
+                      static_cast<uint64_t>(graph.vertices.cols())};
+  h = Fnv1a(dims, sizeof(dims), h);
+  h = Fnv1a(graph.vertices.data(), graph.vertices.size() * sizeof(double), h);
+  h = Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double), h);
+  return h;
 }
 
 Status ValidateGraph(const FeatureGraph& graph, size_t expected_vertex_dim) {

@@ -1,6 +1,7 @@
 #ifndef AUTOCE_FEATGRAPH_FEATGRAPH_H_
 #define AUTOCE_FEATGRAPH_FEATGRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,12 @@ class FeatureExtractor {
 /// shared gate `AutoCe::Fit` and `Recommend` apply before touching
 /// encoder weights.
 Status ValidateGraph(const FeatureGraph& graph, size_t expected_vertex_dim);
+
+/// FNV-1a fingerprint of a feature graph's content (name, shape, vertex
+/// and edge bytes). Keys the serving embedding cache and every per-item
+/// decision of the adaptation loop (queue dedup, fault/kill keys,
+/// labeler seeds, replay dedup against the RCS).
+uint64_t GraphFingerprint(const FeatureGraph& graph);
 
 /// Linear interpolation of two feature graphs (Mixup, paper Eq. 14):
 /// graphs are zero-padded to a common vertex count, then

@@ -10,63 +10,10 @@
 
 namespace autoce::fss {
 
-namespace {
-
-/// Snapshot section holding the serialized knowledge store.
-
-/// `fss.*` instruments, resolved once (obs/metrics.h interning).
-struct FssMetrics {
-  obs::Counter* lookups;
-  obs::Counter* knowledge_hits;
-  obs::Counter* cache_hits;
-  obs::Counter* model_estimates;
-  obs::Counter* fallbacks;
-  obs::Counter* evictions;
-  obs::Counter* collisions;
-  obs::Counter* feedback;
-  obs::Counter* commits;
-  obs::Counter* commit_failures;
-  obs::Counter* age_evictions;
-  obs::Counter* drift_disagreements;
-  obs::Gauge* epoch;
-  obs::Histogram* lookup_latency_ms;
-
-  static FssMetrics& Get() {
-    static FssMetrics m;
-    return m;
-  }
-
- private:
-  FssMetrics() {
-    auto& reg = obs::MetricsRegistry::Instance();
-    lookups = reg.GetCounter("fss.lookups");
-    knowledge_hits = reg.GetCounter("fss.knowledge_hits");
-    cache_hits = reg.GetCounter("fss.cache_hits");
-    model_estimates = reg.GetCounter("fss.model_estimates");
-    fallbacks = reg.GetCounter("fss.fallbacks");
-    evictions = reg.GetCounter("fss.evictions");
-    collisions = reg.GetCounter("fss.collisions");
-    feedback = reg.GetCounter("fss.feedback");
-    commits = reg.GetCounter("fss.commits");
-    commit_failures = reg.GetCounter("fss.commit_failures");
-    age_evictions = reg.GetCounter("fss.age_evictions");
-    drift_disagreements = reg.GetCounter("fss.drift_disagreements");
-    epoch = reg.GetGauge("fss.epoch");
-    lookup_latency_ms = reg.GetHistogram("fss.lookup_latency_ms");
-  }
-};
-
-}  // namespace
-
 EstimatorService::EstimatorService(
-    const std::string& store_dir,
     std::unique_ptr<ce::CardinalityEstimator> model,
     const data::Dataset* dataset, EstimatorServiceOptions options)
-    : options_(options),
-      dataset_(dataset),
-      histogram_(dataset),
-      model_(std::move(model)) {
-  (void)store_dir;  // the store itself is attached by Open
+    : options_(options), histogram_(dataset), model_(std::move(model)) {
   std::size_t shards = options_.cache_shards == 0 ? 1 : options_.cache_shards;
   if (options_.cache_capacity > 0 && shards > options_.cache_capacity) {
     shards = options_.cache_capacity;
@@ -87,7 +34,7 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Open(
     const data::Dataset* dataset, EstimatorServiceOptions options) {
   AUTOCE_CHECK(dataset != nullptr);
   std::unique_ptr<EstimatorService> service(
-      new EstimatorService(store_dir, std::move(model), dataset, options));
+      new EstimatorService(std::move(model), dataset, options));
   if (!store_dir.empty()) {
     auto store = util::SnapshotStore::Open(store_dir, options.store_options);
     if (!store.ok()) return store.status();
@@ -111,23 +58,22 @@ EstimatorService::CacheShard& EstimatorService::ShardFor(const FssKey& key) {
   return *shards_[key.literal_hash % shards_.size()];
 }
 
-std::optional<double> EstimatorService::CacheLookup(const FssKey& key) {
+std::optional<double> EstimatorService::CacheLookup(const FssKey& key,
+                                                    bool* collided) {
   if (shard_capacity_ == 0) return std::nullopt;
   CacheShard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key.literal_hash);
   if (it == shard.entries.end()) return std::nullopt;
   if (it->second.first != key.signature) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.collisions;
-    FssMetrics::Get().collisions->Add();
+    *collided = true;
     return std::nullopt;
   }
   return it->second.second;
 }
 
-void EstimatorService::CacheInsert(const FssKey& key, double estimate) {
-  if (shard_capacity_ == 0) return;
+std::size_t EstimatorService::CacheInsert(const FssKey& key, double estimate) {
+  if (shard_capacity_ == 0) return 0;
   CacheShard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key.literal_hash);
@@ -136,86 +82,82 @@ void EstimatorService::CacheInsert(const FssKey& key, double estimate) {
     // resident entry keeps its slot; both subplans still get correct
     // answers, just not from this cache).
     if (it->second.first == key.signature) it->second.second = estimate;
-    return;
+    return 0;
   }
+  std::size_t evicted = 0;
   while (shard.entries.size() >= shard_capacity_ && !shard.fifo.empty()) {
     shard.entries.erase(shard.fifo.front());
     shard.fifo.pop_front();
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.evictions;
-    FssMetrics::Get().evictions->Add();
+    ++evicted;
   }
   shard.entries.emplace(key.literal_hash,
                         std::make_pair(key.signature, estimate));
   shard.fifo.push_back(key.literal_hash);
+  return evicted;
 }
 
 double EstimatorService::EstimateSubplan(const query::Query& q) {
+  static obs::Histogram* const latency_ms =
+      obs::MetricsRegistry::Instance().GetHistogram("fss.lookup_latency_ms");
   Timer timer;
-  auto& metrics = FssMetrics::Get();
-  metrics.lookups->Add();
   FssKey key = MakeFssKey(q);
-  auto done = [&](double answer) {
-    metrics.lookup_latency_ms->Observe(timer.ElapsedMillis());
-    return answer;
-  };
+  // Which tier answered, plus what the cache saw on the way; counted
+  // together in one stats critical section below.
+  uint64_t ServiceStats::*tier = &ServiceStats::fallbacks;
+  bool collided = false;
+  std::size_t evicted = 0;
+  double answer = [&] {
+    // Tier 1: corrected knowledge (observed true cardinalities).
+    {
+      std::lock_guard<std::mutex> lock(knowledge_mu_);
+      if (auto hit = knowledge_.Lookup(key)) {
+        tier = &ServiceStats::knowledge_hits;
+        return *hit;
+      }
+    }
+
+    // Tier 2: cached model estimates.
+    if (auto hit = CacheLookup(key, &collided)) {
+      tier = &ServiceStats::cache_hits;
+      return *hit;
+    }
+
+    // Tier 3: the hosted model, content-seeded so the answer is
+    // independent of concurrent call order. The `fss.lookup` fault site
+    // models the estimator being unavailable for this subplan.
+    bool degraded = util::FaultPoint(util::fault_sites::kFssLookup,
+                                     key.literal_hash);
+    double estimate = -1.0;
+    bool have_model = false;
+    if (!degraded) {
+      std::lock_guard<std::mutex> lock(model_mu_);
+      if (model_ != nullptr) {
+        have_model = true;
+        model_->SeedInference(
+            util::FaultKeyMix(options_.inference_seed, key.literal_hash));
+        estimate = model_->EstimateCardinality(q);
+      }
+    }
+    if (!degraded && have_model && std::isfinite(estimate) &&
+        estimate >= 0.0) {
+      evicted = CacheInsert(key, estimate);
+      tier = &ServiceStats::model_estimates;
+      return estimate;
+    }
+
+    // Fallback tier: the histogram baseline (never cached, so a
+    // transient degradation cannot freeze a degraded answer in).
+    return histogram_.EstimateCardinality(q);
+  }();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.lookups;
+    ++(stats_.*tier);
+    stats_.collisions += collided;
+    stats_.evictions += evicted;
   }
-
-  // Tier 1: corrected knowledge (observed true cardinalities).
-  {
-    std::lock_guard<std::mutex> lock(knowledge_mu_);
-    if (auto hit = knowledge_.Lookup(key)) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.knowledge_hits;
-      metrics.knowledge_hits->Add();
-      return done(*hit);
-    }
-  }
-
-  // Tier 2: cached model estimates.
-  if (auto hit = CacheLookup(key)) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.cache_hits;
-    metrics.cache_hits->Add();
-    return done(*hit);
-  }
-
-  // Tier 3: the hosted model, content-seeded so the answer is
-  // independent of concurrent call order. The `fss.lookup` fault site
-  // models the estimator being unavailable for this subplan.
-  bool degraded = util::FaultPoint(util::fault_sites::kFssLookup,
-                                   key.literal_hash);
-  double estimate = -1.0;
-  bool have_model = false;
-  if (!degraded) {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    if (model_ != nullptr) {
-      have_model = true;
-      model_->SeedInference(
-          util::FaultKeyMix(options_.inference_seed, key.literal_hash));
-      estimate = model_->EstimateCardinality(q);
-    }
-  }
-  if (!degraded && have_model && std::isfinite(estimate) && estimate >= 0.0) {
-    CacheInsert(key, estimate);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.model_estimates;
-    metrics.model_estimates->Add();
-    return done(estimate);
-  }
-
-  // Fallback tier: the histogram baseline (never cached, so a transient
-  // degradation cannot freeze a degraded answer in).
-  double fallback = histogram_.EstimateCardinality(q);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.fallbacks;
-    metrics.fallbacks->Add();
-  }
-  return done(fallback);
+  latency_ms->Observe(timer.ElapsedMillis());
+  return answer;
 }
 
 void EstimatorService::ObserveTrueCardinality(const query::Query& q,
@@ -232,27 +174,29 @@ void EstimatorService::ObserveTrueCardinality(const query::Query& q,
     if (check_drift) prior = knowledge_.Lookup(key);
     knowledge_.Observe(key, static_cast<double>(rows));
   }
-  if (check_drift && !prior.has_value()) prior = CacheLookup(key);
+  bool collided = false;
+  if (check_drift && !prior.has_value()) prior = CacheLookup(key, &collided);
+  // Log-ratio disagreement between what we would have served and the
+  // observed truth; +1 keeps empty subplans finite. `prior` is only
+  // captured when the drift check is on.
+  double err = 0.0;
+  if (prior.has_value()) {
+    err = std::abs(std::log((*prior + 1.0) /
+                            (static_cast<double>(rows) + 1.0)));
+  }
+  const bool disagrees = err > options_.drift_disagreement_threshold &&
+                         prior.has_value();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.feedback;
-    FssMetrics::Get().feedback->Add();
+    stats_.collisions += collided;
+    stats_.drift_disagreements += disagrees;
   }
-  if (!check_drift || !prior.has_value()) return;
-  // Log-ratio disagreement between what we would have served and the
-  // observed truth; +1 keeps empty subplans finite.
-  double err = std::abs(std::log((*prior + 1.0) /
-                                 (static_cast<double>(rows) + 1.0)));
-  if (err <= options_.drift_disagreement_threshold) return;
+  if (!disagrees) return;
   DriftDisagreementHook hook;
   {
     std::lock_guard<std::mutex> lock(hook_mu_);
     hook = disagreement_hook_;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.drift_disagreements;
-    FssMetrics::Get().drift_disagreements->Add();
   }
   if (hook) hook(q, err);  // outside every service lock
 }
@@ -269,11 +213,6 @@ std::size_t EstimatorService::NotifyEpoch(uint64_t epoch) {
   // Cached model estimates describe the pre-mutation data distribution;
   // drop them so the next lookup re-estimates against current state.
   ClearCache();
-  auto& metrics = FssMetrics::Get();
-  metrics.epoch->Set(static_cast<double>(epoch));
-  if (evicted > 0) {
-    metrics.age_evictions->Add(static_cast<int64_t>(evicted));
-  }
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   stats_.epoch = epoch;
   stats_.age_evictions += evicted;
@@ -301,7 +240,6 @@ Status EstimatorService::CommitKnowledge() {
   auto fail = [&](Status status) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.commit_failures;
-    FssMetrics::Get().commit_failures->Add();
     return status;
   };
   // Content-derived key: the same knowledge commits (or faults) the
@@ -317,7 +255,6 @@ Status EstimatorService::CommitKnowledge() {
   if (!generation.ok()) return fail(generation.status());
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   ++stats_.commits;
-  FssMetrics::Get().commits->Add();
   return Status::OK();
 }
 

@@ -17,6 +17,7 @@
 #include "engine/plan_executor.h"
 #include "fss/fss_hash.h"
 #include "fss/knowledge_store.h"
+#include "obs/metrics.h"
 #include "util/result.h"
 #include "util/snapshot.h"
 
@@ -49,7 +50,7 @@ struct EstimatorServiceOptions {
   double drift_disagreement_threshold = 0.0;
 };
 
-/// Cumulative service counters since Open (mirrored as `fss.*` metrics).
+/// Cumulative service counters since Open (exported as `fss.*`).
 struct ServiceStats {
   uint64_t lookups = 0;           ///< EstimateSubplan calls
   uint64_t knowledge_hits = 0;    ///< answered from observed true cards
@@ -67,6 +68,22 @@ struct ServiceStats {
   uint64_t drift_disagreements = 0;  ///< feedback past the drift threshold
   uint64_t epoch = 0;             ///< last epoch seen via NotifyEpoch
 };
+
+/// The service's exported fields (`fss.*`, obs::StatsExport): the
+/// knowledge size and the epoch are levels, the rest counts.
+inline std::vector<obs::StatsField> ExportedFields(const ServiceStats& s) {
+  constexpr obs::FieldKind kLevel = obs::FieldKind::kLevel;
+  return {{"lookups", s.lookups},       {"knowledge_hits", s.knowledge_hits},
+          {"cache_hits", s.cache_hits}, {"model_estimates", s.model_estimates},
+          {"fallbacks", s.fallbacks},   {"evictions", s.evictions},
+          {"collisions", s.collisions}, {"feedback", s.feedback},
+          {"commits", s.commits},       {"commit_failures", s.commit_failures},
+          {"knowledge_entries", s.knowledge_entries, kLevel},
+          {"knowledge_subspaces", s.knowledge_subspaces, kLevel},
+          {"age_evictions", s.age_evictions},
+          {"drift_disagreements", s.drift_disagreements},
+          {"epoch", s.epoch, kLevel}};
+}
 
 /// Callback for feedback that disagrees with served knowledge past the
 /// configured threshold: `(subplan, abs log-ratio error)`. Invoked
@@ -169,17 +186,17 @@ class EstimatorService : public engine::CardinalitySource {
     std::deque<uint64_t> fifo;
   };
 
-  EstimatorService(const std::string& store_dir,
-                   std::unique_ptr<ce::CardinalityEstimator> model,
+  EstimatorService(std::unique_ptr<ce::CardinalityEstimator> model,
                    const data::Dataset* dataset,
                    EstimatorServiceOptions options);
 
   CacheShard& ShardFor(const FssKey& key);
-  std::optional<double> CacheLookup(const FssKey& key);
-  void CacheInsert(const FssKey& key, double estimate);
+  /// Sets `*collided` when the slot holds a different subplan.
+  std::optional<double> CacheLookup(const FssKey& key, bool* collided);
+  /// Returns the number of entries evicted to make room.
+  std::size_t CacheInsert(const FssKey& key, double estimate);
 
   const EstimatorServiceOptions options_;
-  const data::Dataset* const dataset_;
   engine::PostgresStyleEstimator histogram_;
   std::optional<util::SnapshotStore> store_;  ///< nullopt = in-memory only
 
@@ -192,11 +209,15 @@ class EstimatorService : public engine::CardinalitySource {
   std::size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<CacheShard>> shards_;
 
+  /// Taken once per event and never nested inside another service lock.
   mutable std::mutex stats_mu_;
   ServiceStats stats_;  // guarded by stats_mu_
 
   mutable std::mutex hook_mu_;
   DriftDisagreementHook disagreement_hook_;  // guarded by hook_mu_
+
+  obs::StatsExport stats_export_{"fss",
+                                 [this] { return ExportedFields(stats()); }};
 };
 
 }  // namespace autoce::fss

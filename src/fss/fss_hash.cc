@@ -4,6 +4,7 @@
 #include <tuple>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/serde.h"
 
 namespace autoce::fss {
@@ -20,12 +21,7 @@ void PutU32(BinaryWriter* w, int32_t v) {
 }  // namespace
 
 uint64_t FssBytesHash(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  return util::Fnv1a(bytes.data(), bytes.size());
 }
 
 FssKey MakeFssKey(const query::Query& q) {

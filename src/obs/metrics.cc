@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <variant>
 
 namespace autoce::obs {
 
@@ -151,7 +150,17 @@ struct MetricsRegistry::State {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  std::map<uint64_t, const StatsExport*> exports;  // live, by instance
+  uint64_t next_instance = 1;
   std::string dump_path;  // at-exit Prometheus dump target ("" = none)
+};
+
+/// Every instrument and live StatsExport field, rendered and sorted by
+/// key — the one walk both exporters format.
+struct MetricsRegistry::Readout {
+  std::map<std::string, std::string> counters;
+  std::map<std::string, std::string> gauges;
+  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 MetricsRegistry& MetricsRegistry::Instance() {
@@ -203,6 +212,31 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return slot.get();
 }
 
+void MetricsRegistry::Register(StatsExport* stats) {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  stats->instance_ = state_->next_instance++;
+  state_->exports[stats->instance_] = stats;
+}
+
+void MetricsRegistry::Unregister(const StatsExport& stats) {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  state_->exports.erase(stats.instance_);
+  if (!MetricsEnabled()) return;
+  for (const StatsField& field : stats.read_()) {
+    if (field.kind == FieldKind::kLevel) continue;
+    auto& slot = state_->counters[stats.prefix_ + "." + field.name];
+    if (slot == nullptr) slot.reset(new Counter());
+    slot->Add(static_cast<int64_t>(field.value));
+  }
+}
+
+StatsExport::StatsExport(std::string prefix, Reader read)
+    : prefix_(std::move(prefix)), read_(std::move(read)) {
+  MetricsRegistry::Instance().Register(this);
+}
+
+StatsExport::~StatsExport() { MetricsRegistry::Instance().Unregister(*this); }
+
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const LabelSet& labels) {
   std::string key = InstrumentKey(name, labels);
@@ -244,25 +278,45 @@ void MetricsRegistry::Reset() {
   }
 }
 
-std::string MetricsRegistry::ExportPrometheus() const {
+MetricsRegistry::Readout MetricsRegistry::ReadAll() const {
   std::lock_guard<std::mutex> lock(state_->mu);
-  std::string out;
+  Readout out;
   for (const auto& [key, c] : state_->counters) {
+    out.counters[key] = std::to_string(c->value());
+  }
+  for (const auto& [key, g] : state_->gauges) {
+    AppendDouble(&out.gauges[key], g->value());
+  }
+  for (const auto& [key, h] : state_->histograms) {
+    out.histograms[key] = h->Snapshot();
+  }
+  for (const auto& [instance, stats] : state_->exports) {
+    LabelSet labels = {{"instance", std::to_string(instance)}};
+    for (const StatsField& field : stats->read_()) {
+      std::string key = InstrumentKey(stats->prefix_ + "." + field.name,
+                                      labels);
+      auto& series =
+          field.kind == FieldKind::kLevel ? out.gauges : out.counters;
+      series[key] = std::to_string(field.value);
+    }
+  }
+  return out;
+}
+
+std::string MetricsRegistry::ExportPrometheus() const {
+  const Readout readout = ReadAll();
+  std::string out;
+  for (const auto& [key, value] : readout.counters) {
     auto [name, labels] = SplitPromKey(key);
     out += name + "_total";
     if (!labels.empty()) out += "{" + labels + "}";
-    out += ' ';
-    out += std::to_string(c->value());
-    out += '\n';
+    out += ' ' + value + '\n';
   }
-  for (const auto& [key, g] : state_->gauges) {
-    out += PromName(key) + ' ';
-    AppendDouble(&out, g->value());
-    out += '\n';
+  for (const auto& [key, value] : readout.gauges) {
+    out += PromName(key) + ' ' + value + '\n';
   }
-  for (const auto& [key, h] : state_->histograms) {
+  for (const auto& [key, s] : readout.histograms) {
     auto [name, labels] = SplitPromKey(key);
-    HistogramSnapshot s = h->Snapshot();
     int64_t cumulative = 0;
     for (size_t b = 0; b < s.bucket_counts.size(); ++b) {
       cumulative += s.bucket_counts[b];
@@ -293,25 +347,21 @@ std::string MetricsRegistry::ExportPrometheus() const {
 }
 
 std::string MetricsRegistry::ExportJson() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
+  const Readout readout = ReadAll();
   std::string out = "{";
   bool first = true;
   auto sep = [&] {
     if (!first) out += ", ";
     first = false;
   };
-  for (const auto& [key, c] : state_->counters) {
-    sep();
-    out += "\"" + key + "\": " + std::to_string(c->value());
+  for (const auto* series : {&readout.counters, &readout.gauges}) {
+    for (const auto& [key, value] : *series) {
+      sep();
+      out += "\"" + key + "\": " + value;
+    }
   }
-  for (const auto& [key, g] : state_->gauges) {
+  for (const auto& [key, s] : readout.histograms) {
     sep();
-    out += "\"" + key + "\": ";
-    AppendDouble(&out, g->value());
-  }
-  for (const auto& [key, h] : state_->histograms) {
-    sep();
-    HistogramSnapshot s = h->Snapshot();
     out += "\"" + key + "\": {\"count\": " + std::to_string(s.count) +
            ", \"sum\": ";
     AppendDouble(&out, s.sum);

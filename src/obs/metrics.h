@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -123,6 +124,46 @@ std::vector<double> ExponentialBuckets(double start, double factor, int n);
 /// Default latency buckets in milliseconds: 50 µs .. ~47 s.
 const std::vector<double>& DefaultLatencyBucketsMs();
 
+/// Whether an exported Stats field counts events or holds a level.
+enum class FieldKind { kCount, kLevel };
+
+/// One numeric field of an owner's Stats struct, as StatsExport reads it.
+struct StatsField {
+  const char* name;  ///< exported as `<prefix>.<name>`
+  uint64_t value;
+  FieldKind kind = FieldKind::kCount;
+};
+
+/// \brief Exports one live instance's Stats struct (DESIGN.md §5.9).
+///
+/// While it lives, the exporters call `read` and print each field as
+/// `<prefix>.<field>{instance="<n>"}`, `n` a process-unique number
+/// (levels as gauges, counts as counters). On destruction the final
+/// counts are added to the unlabelled `<prefix>.<field>` counter (a
+/// gated add) and levels are dropped, under the exporters' lock. Owners
+/// hold it as their LAST member. `read` runs under the registry lock,
+/// so an owner must never call the registry while holding a lock `read`
+/// takes.
+class StatsExport {
+ public:
+  using Reader = std::function<std::vector<StatsField>()>;
+
+  StatsExport(std::string prefix, Reader read);
+  ~StatsExport();
+
+  StatsExport(const StatsExport&) = delete;
+  StatsExport& operator=(const StatsExport&) = delete;
+
+  /// The `instance` label value of this registration.
+  uint64_t instance() const { return instance_; }
+
+ private:
+  friend class MetricsRegistry;
+  const std::string prefix_;
+  const Reader read_;
+  uint64_t instance_ = 0;  // assigned by the registry
+};
+
 /// \brief The process-wide instrument registry (thread-safe).
 class MetricsRegistry {
  public:
@@ -151,7 +192,8 @@ class MetricsRegistry {
 
   /// Prometheus text exposition: `name{labels} value` lines, sorted;
   /// dots in names render as underscores, histograms expand to
-  /// `_bucket`/`_sum`/`_count` plus p50/p95/p99 gauge lines.
+  /// `_bucket`/`_sum`/`_count` plus p50/p95/p99 gauge lines. Live
+  /// StatsExport fields are merged in with their `instance` label.
   std::string ExportPrometheus() const;
 
   /// One JSON object keyed by `name{labels}`, sorted; histograms render
@@ -162,7 +204,12 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
  private:
+  friend class StatsExport;
   MetricsRegistry();
+  void Register(StatsExport* stats);
+  void Unregister(const StatsExport& stats);
+  struct Readout;
+  Readout ReadAll() const;
   struct State;
   State* state_;  // leaked with the singleton (instruments must outlive
                   // any static-destruction-order user, like the fault

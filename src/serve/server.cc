@@ -10,67 +10,6 @@
 
 namespace autoce::serve {
 
-namespace {
-
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Serving instruments (DESIGN.md §5.9). The counters mirror
-/// ServerStats field for field (plus `admitted`), so a Prometheus dump
-/// and stats() always agree; `request_ms` records each request's
-/// time-in-burst when its batch completes.
-struct ServeMetrics {
-  obs::Counter* requests;
-  obs::Counter* admitted;
-  obs::Counter* shed;
-  obs::Counter* deadline_shed;
-  obs::Counter* invalid;
-  obs::Counter* cache_hits;
-  obs::Counter* embedded;
-  obs::Counter* batches;
-  obs::Counter* reloads;
-  obs::Counter* reload_attempts;
-  obs::Counter* reload_failures;
-  obs::Histogram* request_ms;
-  static const ServeMetrics& Get() {
-    static const ServeMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::Instance();
-      return ServeMetrics{reg.GetCounter("serve.requests"),
-                          reg.GetCounter("serve.admitted"),
-                          reg.GetCounter("serve.shed"),
-                          reg.GetCounter("serve.deadline_shed"),
-                          reg.GetCounter("serve.invalid"),
-                          reg.GetCounter("serve.cache_hits"),
-                          reg.GetCounter("serve.embedded"),
-                          reg.GetCounter("serve.batches"),
-                          reg.GetCounter("serve.reloads"),
-                          reg.GetCounter("serve.reload_attempts"),
-                          reg.GetCounter("serve.reload_failures"),
-                          reg.GetHistogram("serve.request_ms")};
-    }();
-    return m;
-  }
-};
-
-}  // namespace
-
-uint64_t AdvisorServer::Fingerprint(const featgraph::FeatureGraph& graph) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  h = Fnv1a(graph.dataset_name.data(), graph.dataset_name.size(), h);
-  uint64_t dims[2] = {static_cast<uint64_t>(graph.vertices.rows()),
-                      static_cast<uint64_t>(graph.vertices.cols())};
-  h = Fnv1a(dims, sizeof(dims), h);
-  h = Fnv1a(graph.vertices.data(), graph.vertices.size() * sizeof(double), h);
-  h = Fnv1a(graph.edges.data(), graph.edges.size() * sizeof(double), h);
-  return h;
-}
-
 AdvisorServer::AdvisorServer(advisor::AutoCe advisor, ServerConfig config)
     : config_(config),
       advisor_(std::make_shared<const advisor::AutoCe>(std::move(advisor))) {
@@ -143,7 +82,9 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   // the shared_ptr but this burst keeps answering from the generation
   // it admitted under — no request is dropped mid-reload.
   obs::TraceSpan span("serve.burst");
-  const ServeMetrics& metrics = ServeMetrics::Get();
+  // Each request's time-in-burst, recorded when its batch completes.
+  static obs::Histogram* const request_ms =
+      obs::MetricsRegistry::Instance().GetHistogram("serve.request_ms");
   Timer burst_timer;
   // Deadlines are measured from burst start on the (injectable) clock;
   // a request's effective deadline is its own override or the server
@@ -163,7 +104,6 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     generation = generation_;
     stats_.requests += requests.size();
   }
-  metrics.requests->Add(static_cast<int64_t>(requests.size()));
 
   std::vector<RecommendResponse> responses(requests.size());
   // Admission: arrival order, bounded by queue_capacity; the overflow
@@ -172,11 +112,12 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   // request content, never on thread count.
   std::vector<size_t> admitted;
   admitted.reserve(std::min(requests.size(), config_.queue_capacity));
+  uint64_t shed = 0, deadline_shed = 0;
   const double admission_elapsed_ms = (clock() - burst_start) * 1000.0;
   for (size_t i = 0; i < requests.size(); ++i) {
     responses[i].id = requests[i].id;
     responses[i].model_generation = generation;
-    uint64_t key = Fingerprint(requests[i].graph);
+    uint64_t key = featgraph::GraphFingerprint(requests[i].graph);
     const char* shed_reason = nullptr;
     bool deadline_expired = false;
     double deadline = deadline_of(requests[i]);
@@ -192,17 +133,19 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
       responses[i].shed = true;
       responses[i].recommendation =
           advisor->CorpusDefault(requests[i].w_a, shed_reason);
-      metrics.shed->Add();
-      if (deadline_expired) metrics.deadline_shed->Add();
-      metrics.request_ms->Observe(burst_timer.ElapsedMillis());
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.shed;
-      if (deadline_expired) ++stats_.deadline_shed;
+      ++shed;
+      deadline_shed += deadline_expired;
+      request_ms->Observe(burst_timer.ElapsedMillis());
       continue;
     }
     admitted.push_back(i);
   }
-  metrics.admitted->Add(static_cast<int64_t>(admitted.size()));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.admitted += admitted.size();
+    stats_.shed += shed;
+    stats_.deadline_shed += deadline_shed;
+  }
 
   // Coalesce admitted requests into batches of max_batch, in admission
   // order. Each batch embeds its cache misses in ONE stacked GIN
@@ -236,9 +179,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
               requests[i].w_a, "request deadline expired before batch");
           ++stats_.shed;
           ++stats_.deadline_shed;
-          metrics.shed->Add();
-          metrics.deadline_shed->Add();
-          metrics.request_ms->Observe(burst_timer.ElapsedMillis());
+          request_ms->Observe(burst_timer.ElapsedMillis());
           continue;
         }
         Status valid = featgraph::ValidateGraph(requests[i].graph,
@@ -246,17 +187,15 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
         if (!valid.ok()) {
           responses[i].status = valid;
           ++stats_.invalid;
-          metrics.invalid->Add();
           continue;
         }
         Pending p;
         p.request = i;
-        p.key = Fingerprint(requests[i].graph);
+        p.key = featgraph::GraphFingerprint(requests[i].graph);
         if (const CacheEntry* hit = CacheLookup(p.key)) {
           p.embedding = hit->embedding;
           p.from_cache = true;
           ++stats_.cache_hits;
-          metrics.cache_hits->Add();
         } else {
           misses.push_back(pending.size());
         }
@@ -275,8 +214,6 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
         obs::TraceSpan embed_span("serve.embed_batch");
         embedded = advisor->EmbedBatch(graphs);
       }
-      metrics.batches->Add();
-      metrics.embedded->Add(static_cast<int64_t>(misses.size()));
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.batches;
       stats_.embedded += misses.size();
@@ -301,7 +238,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
       // Each admitted request's latency is its time-in-burst when its
       // batch finishes (the server is synchronous and batched).
       double elapsed = burst_timer.ElapsedMillis();
-      for (size_t j = b; j < end; ++j) metrics.request_ms->Observe(elapsed);
+      for (size_t j = b; j < end; ++j) request_ms->Observe(elapsed);
     }
   }
   return responses;
@@ -313,43 +250,33 @@ RecommendResponse AdvisorServer::ServeOne(const RecommendRequest& request) {
 
 Status AdvisorServer::Reload() {
   obs::TraceSpan span("serve.reload");
-  const ServeMetrics& metrics = ServeMetrics::Get();
-  metrics.reload_attempts->Add();
+  // Counts a failed attempt; the caller must not hold mu_.
+  auto fail = [this](Status status) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.reload_failures;
+    stats_.last_reload_error = status.message();
+    return status;
+  };
   std::string dir;
   util::SnapshotStoreOptions options;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.reload_attempts;
-    if (store_dir_.empty()) {
-      Status status = Status::FailedPrecondition(
-          "no snapshot store attached (Open or AttachStore first)");
-      metrics.reload_failures->Add();
-      ++stats_.reload_failures;
-      stats_.last_reload_error = status.message();
-      return status;
-    }
     dir = store_dir_;
     options = store_options_;
+  }
+  if (dir.empty()) {
+    return fail(Status::FailedPrecondition(
+        "no snapshot store attached (Open or AttachStore first)"));
   }
   // Load outside the lock: requests keep being served from the current
   // generation while the new one deserializes.
   uint64_t generation = 0;
   auto loaded = advisor::AutoCe::ResumeFit(dir, options, &generation);
-  if (!loaded.ok()) {
-    metrics.reload_failures->Add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reload_failures;
-    stats_.last_reload_error = loaded.status().message();
-    return loaded.status();
-  }
+  if (!loaded.ok()) return fail(loaded.status());
   if (util::FaultPoint(util::fault_sites::kServeReload, generation)) {
-    Status status = Status::Internal("injected reload fault at generation " +
-                                     std::to_string(generation));
-    metrics.reload_failures->Add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reload_failures;
-    stats_.last_reload_error = status.message();
-    return status;
+    return fail(Status::Internal("injected reload fault at generation " +
+                                 std::to_string(generation)));
   }
   // Crash window: the new generation is loaded but not installed. A
   // kill here must leave a restarted server on the previous durable
@@ -357,7 +284,6 @@ Status AdvisorServer::Reload() {
   util::KillPoint(util::kill_sites::kServeReload, generation);
   auto fresh =
       std::make_shared<const advisor::AutoCe>(std::move(*loaded));
-  metrics.reloads->Add();
   std::lock_guard<std::mutex> lock(mu_);
   advisor_ = std::move(fresh);
   generation_ = generation;

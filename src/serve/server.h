@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "advisor/autoce.h"
+#include "obs/metrics.h"
 #include "util/budget.h"
 #include "util/result.h"
 #include "util/snapshot.h"
@@ -77,6 +78,7 @@ struct RecommendResponse {
 /// Cumulative counters since construction.
 struct ServerStats {
   uint64_t requests = 0;
+  uint64_t admitted = 0;      ///< passed the admission gate
   uint64_t batches = 0;       ///< batched forwards executed
   uint64_t embedded = 0;      ///< graphs embedded (cache misses)
   uint64_t cache_hits = 0;
@@ -92,6 +94,17 @@ struct ServerStats {
   /// a success came after).
   std::string last_reload_error;
 };
+
+/// The server's exported fields (`serve.*`, obs::StatsExport).
+inline std::vector<obs::StatsField> ExportedFields(const ServerStats& s) {
+  return {{"requests", s.requests},     {"admitted", s.admitted},
+          {"batches", s.batches},       {"embedded", s.embedded},
+          {"cache_hits", s.cache_hits}, {"shed", s.shed},
+          {"deadline_shed", s.deadline_shed},
+          {"invalid", s.invalid},       {"reloads", s.reloads},
+          {"reload_attempts", s.reload_attempts},
+          {"reload_failures", s.reload_failures}};
+}
 
 /// \brief Embedded deterministic advisor service (DESIGN.md §5.8).
 ///
@@ -161,9 +174,6 @@ class AdvisorServer {
     std::list<uint64_t>::iterator lru_pos;
   };
 
-  /// FNV-1a fingerprint of a feature graph's content.
-  static uint64_t Fingerprint(const featgraph::FeatureGraph& graph);
-
   /// Looks up `key`, refreshing recency. Caller holds mu_.
   const CacheEntry* CacheLookup(uint64_t key);
   /// Inserts `key`, evicting the least recent entry when over capacity.
@@ -184,6 +194,8 @@ class AdvisorServer {
   std::unordered_map<uint64_t, CacheEntry> cache_;  // guarded by mu_
   std::list<uint64_t> lru_;  // most recent at front; guarded by mu_
   ServerStats stats_;        // guarded by mu_
+  obs::StatsExport stats_export_{"serve",
+                                 [this] { return ExportedFields(stats()); }};
 };
 
 }  // namespace autoce::serve

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace autoce::util {
@@ -37,13 +38,8 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 uint64_t HashSiteName(std::string_view site) {
-  // FNV-1a over the site name; stable across runs and platforms.
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  // Stable across runs and platforms.
+  return Fnv1a(site.data(), site.size());
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "advisor/autoce.h"
 #include "data/generator.h"
+#include "util/snapshot.h"
 
 namespace autoce::advisor {
 namespace {
@@ -224,6 +227,145 @@ TEST(PersistenceTest, LoadRejectsMissingFile) {
   auto loaded = AutoCe::Load("/nonexistent/advisor.ace");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+std::string U64s(std::initializer_list<uint64_t> values) {
+  std::string out;
+  for (uint64_t v : values) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));  // LE host
+  }
+  return out;
+}
+
+/// The ways a persisted RCS graph can be mis-shaped while its framing
+/// stays readable.
+enum class Misshape {
+  kTransposedVertices,  ///< vertex header rows x cols swapped, same payload
+  kOverflowingEmpty,    ///< 2^32 x 2^32 vertex header, empty payload
+  kNonSquareEdges,      ///< n x n edge header rewritten as 1 x n*n
+};
+
+/// Applies `how` to the first RCS graph (with >= 2 vertices) of a
+/// serialized RCS, located by its `rows, cols, rows*cols` matrix
+/// framing.
+std::string Misshapen(std::string bytes, const AutoCe& advisor,
+                      Misshape how) {
+  const featgraph::FeatureGraph* graph = nullptr;
+  for (const auto& g : advisor.rcs_graphs()) {
+    if (g.vertices.rows() >= 2) {
+      graph = &g;
+      break;
+    }
+  }
+  EXPECT_NE(graph, nullptr);
+  if (graph == nullptr) return bytes;
+  const uint64_t n = graph->vertices.rows(), d = graph->vertices.cols();
+  std::string vertex_header = U64s({n, d, n * d});
+  std::string edge_header = U64s({n, n, n * n});
+  size_t at = bytes.find(vertex_header);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return bytes;
+  switch (how) {
+    case Misshape::kTransposedVertices:
+      bytes.replace(at, vertex_header.size(), U64s({d, n, n * d}));
+      break;
+    case Misshape::kOverflowingEmpty:
+      bytes.replace(at, vertex_header.size() + n * d * sizeof(double),
+                    U64s({uint64_t{1} << 32, uint64_t{1} << 32, 0}));
+      break;
+    case Misshape::kNonSquareEdges: {
+      size_t edges = bytes.find(edge_header, at);
+      EXPECT_NE(edges, std::string::npos);
+      if (edges == std::string::npos) return bytes;
+      bytes.replace(edges, edge_header.size(), U64s({1, n * n, n * n}));
+      break;
+    }
+  }
+  return bytes;
+}
+
+constexpr Misshape kAllMisshapes[] = {Misshape::kTransposedVertices,
+                                      Misshape::kOverflowingEmpty,
+                                      Misshape::kNonSquareEdges};
+
+TEST(PersistenceTest, LoadRejectsMisshapedRcsGraphAsDataLoss) {
+  // A mis-shaped RCS graph would abort the first GIN forward; the
+  // decoder must refuse it as corrupt data instead.
+  TinyCorpus corpus = MakeTinyCorpus(10);
+  AutoCeConfig cfg;
+  cfg.dml.epochs = 2;
+  cfg.gin.hidden = 8;
+  cfg.gin.embedding_dim = 4;
+  AutoCe advisor(cfg);
+  ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/misshaped.ace";
+  ASSERT_TRUE(advisor.Save(path).ok());
+  const std::string original = ReadFileBytes(path);
+  for (Misshape how : kAllMisshapes) {
+    std::string bytes = Misshapen(original, advisor, how);
+    ASSERT_NE(bytes, original);
+    WriteFileBytes(path, bytes);
+    auto loaded = AutoCe::Load(path);
+    ASSERT_FALSE(loaded.ok()) << static_cast<int>(how);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << static_cast<int>(how) << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, SnapshotRejectsMisshapedRcsGraphAsDataLoss) {
+  // The same shape checks guard the `rcs` snapshot section: a committed
+  // (CRC-valid) generation with a mis-shaped member resumes as DataLoss.
+  TinyCorpus corpus = MakeTinyCorpus(10);
+  AutoCeConfig cfg;
+  cfg.dml.epochs = 2;
+  cfg.gin.hidden = 8;
+  cfg.gin.embedding_dim = 4;
+  AutoCe advisor(cfg);
+  ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
+  for (Misshape how : kAllMisshapes) {
+    const std::string dir = std::string(::testing::TempDir()) +
+                            "/misshaped_snap_" +
+                            std::to_string(static_cast<int>(how));
+    ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+    ASSERT_TRUE(advisor.SaveSnapshot().ok());
+    auto store = util::SnapshotStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    auto sections = store->LoadLatest();
+    ASSERT_TRUE(sections.ok());
+    bool patched = false;
+    for (auto& section : *sections) {
+      if (section.name != "rcs") continue;
+      std::string bytes = Misshapen(section.payload, advisor, how);
+      patched = bytes != section.payload;
+      section.payload = std::move(bytes);
+    }
+    ASSERT_TRUE(patched);
+    ASSERT_TRUE(store->Commit(*sections).ok());
+    auto resumed = AutoCe::ResumeFit(dir);
+    ASSERT_FALSE(resumed.ok()) << static_cast<int>(how);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss)
+        << static_cast<int>(how) << ": " << resumed.status().ToString();
+  }
 }
 
 }  // namespace

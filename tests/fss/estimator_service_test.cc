@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/generator.h"
 #include "engine/executor.h"
 #include "engine/histogram.h"
+#include "obs/metrics.h"
 #include "query/query.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -248,6 +251,79 @@ TEST(EstimatorServiceTest, NonFiniteModelAnswerDegrades) {
   EXPECT_DOUBLE_EQ((*service)->EstimateSubplan(queries[0]),
                    histogram.EstimateCardinality(queries[0]));
   EXPECT_EQ((*service)->stats().fallbacks, 1u);
+}
+
+/// Every `<metric>{instance="n"} value` line of a Prometheus export,
+/// as n -> value.
+std::map<std::string, std::string> InstanceSeries(const std::string& text,
+                                                  const std::string& metric) {
+  std::map<std::string, std::string> series;
+  const std::string prefix = metric + "{instance=\"";
+  size_t pos = 0;
+  while ((pos = text.find(prefix, pos)) != std::string::npos) {
+    if (pos > 0 && text[pos - 1] != '\n') {
+      pos += prefix.size();
+      continue;
+    }
+    size_t label_end = text.find("\"} ", pos);
+    size_t line_end = text.find('\n', pos);
+    series[text.substr(pos + prefix.size(),
+                       label_end - pos - prefix.size())] =
+        text.substr(label_end + 3, line_end - label_end - 3);
+    pos = line_end;
+  }
+  return series;
+}
+
+TEST(EstimatorServiceTest, TwoServicesExportSeparateInstanceSeries) {
+  // Two tenants in one process: each exports its own ServiceStats under
+  // its own `instance` label; teardown sums the counts into the
+  // unlabelled totals and drops the levels.
+  auto& registry = obs::MetricsRegistry::Instance();
+  registry.Enable();
+  registry.Reset();
+  data::Dataset ds = MakeDataset(20);
+  auto queries = MakeWorkload(ds, 3, 11);
+  {
+    auto histogram_only = EstimatorService::Open("", nullptr, &ds);
+    auto modeled = EstimatorService::Open(
+        "", std::make_unique<SamplingStubModel>(), &ds);
+    ASSERT_TRUE(histogram_only.ok() && modeled.ok());
+    (*histogram_only)->EstimateSubplan(queries[0]);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& q : queries) (*modeled)->EstimateSubplan(q);
+    }
+    (*modeled)->NotifyEpoch(7);
+    ServiceStats stats = (*modeled)->stats();
+
+    std::string live = registry.ExportPrometheus();
+    auto lookups = InstanceSeries(live, "fss_lookups_total");
+    ASSERT_EQ(lookups.size(), 2u) << live;
+    std::map<std::string, std::string> by_count;  // count -> instance
+    for (const auto& [instance, value] : lookups) by_count[value] = instance;
+    ASSERT_EQ(by_count.count("1"), 1u) << live;
+    ASSERT_EQ(by_count.count("6"), 1u) << live;
+    const std::string h = by_count["1"], m = by_count["6"];
+    auto fallbacks = InstanceSeries(live, "fss_fallbacks_total");
+    EXPECT_EQ(fallbacks[h], "1");
+    EXPECT_EQ(fallbacks[m], "0");
+    auto estimates = InstanceSeries(live, "fss_model_estimates_total");
+    EXPECT_EQ(estimates[h], "0");
+    EXPECT_EQ(estimates[m], std::to_string(stats.model_estimates));
+    EXPECT_EQ(InstanceSeries(live, "fss_cache_hits_total")[m],
+              std::to_string(stats.cache_hits));
+    // Levels export as gauges: no `_total` suffix.
+    auto epoch = InstanceSeries(live, "fss_epoch");
+    EXPECT_EQ(epoch[h], "0");
+    EXPECT_EQ(epoch[m], "7");
+  }
+  std::string text = registry.ExportPrometheus();
+  registry.Disable();
+  EXPECT_TRUE(InstanceSeries(text, "fss_lookups_total").empty()) << text;
+  EXPECT_NE(text.find("\nfss_lookups_total 7\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nfss_fallbacks_total 1\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("fss_epoch"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/parallel.h"
@@ -228,6 +232,118 @@ TEST(MetricsTest, ConcurrentRecordingIsRaceFreeAndExact) {
       registry.GetCounter("mt.tsan.intern", {{"w", "a"}})->value() +
       registry.GetCounter("mt.tsan.intern", {{"w", "b"}})->value();
   EXPECT_EQ(interned, static_cast<int64_t>(n));
+}
+
+/// A minimal Stats owner: one count and one level behind its own lock,
+/// exported as `<prefix>.events` / `<prefix>.level`, registration last.
+struct FakeOwner {
+  explicit FakeOwner(const std::string& prefix)
+      : exported(prefix, [this] {
+          std::lock_guard<std::mutex> lock(mu);
+          return std::vector<StatsField>{
+              {"events", events}, {"level", events, FieldKind::kLevel}};
+        }) {}
+  void Record() {
+    std::lock_guard<std::mutex> lock(mu);
+    ++events;
+  }
+  std::mutex mu;
+  uint64_t events = 0;  // guarded by mu
+  StatsExport exported;
+};
+
+TEST(MetricsTest, StatsExportLabelsLiveFieldsAndFoldsOnDestroy) {
+  auto& registry = MetricsRegistry::Instance();
+  registry.Enable();
+  auto a = std::make_unique<FakeOwner>("mt.se");
+  auto b = std::make_unique<FakeOwner>("mt.se");
+  ASSERT_NE(a->exported.instance(), b->exported.instance());
+  for (int i = 0; i < 3; ++i) a->Record();
+  b->Record();
+  const std::string la =
+      "{instance=\"" + std::to_string(a->exported.instance()) + "\"}";
+  const std::string lb =
+      "{instance=\"" + std::to_string(b->exported.instance()) + "\"}";
+
+  std::string text = registry.ExportPrometheus();
+  EXPECT_NE(text.find("mt_se_events_total" + la + " 3\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("mt_se_events_total" + lb + " 1\n"), std::string::npos);
+  EXPECT_NE(text.find("mt_se_level" + la + " 3\n"), std::string::npos);
+  EXPECT_EQ(text.find("mt_se_events_total "), std::string::npos);
+  std::string json = registry.ExportJson();
+  EXPECT_NE(json.find("\"mt.se.events" + la + "\": 3"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"mt.se.level" + lb + "\": 1"), std::string::npos);
+
+  // Teardown folds counts into the unlabelled counter; levels drop.
+  a.reset();
+  text = registry.ExportPrometheus();
+  EXPECT_EQ(text.find("mt_se_events_total" + la), std::string::npos);
+  EXPECT_EQ(text.find("mt_se_level" + la), std::string::npos);
+  EXPECT_NE(text.find("mt_se_events_total 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("mt_se_events_total" + lb + " 1\n"), std::string::npos);
+  b.reset();
+  EXPECT_EQ(registry.GetCounter("mt.se.events")->value(), 4);
+  EXPECT_EQ(registry.ExportPrometheus().find("mt_se_level"),
+            std::string::npos);
+}
+
+TEST(MetricsTest, StatsExportFoldIsSkippedWhileDormant) {
+  auto& registry = MetricsRegistry::Instance();
+  registry.Disable();
+  {
+    FakeOwner owner("mt.dormant");
+    owner.Record();
+  }
+  registry.Enable();
+  EXPECT_EQ(registry.ExportPrometheus().find("mt_dormant"), std::string::npos);
+}
+
+/// Sum of the values of every `<metric>` series in an export, labelled
+/// or not.
+int64_t SumSeries(const std::string& text, const std::string& metric) {
+  int64_t sum = 0;
+  size_t pos = 0;
+  while ((pos = text.find(metric, pos)) != std::string::npos) {
+    pos = text.find(' ', pos) + 1;
+    sum += std::strtoll(text.c_str() + pos, nullptr, 10);
+  }
+  return sum;
+}
+
+// TSan hammer for StatsExport: workers create, use and destroy
+// registered owners while another thread exports. Every export sees
+// each owner either live or folded, never both, so live + folded counts
+// never run ahead of the events recorded and never go backwards.
+TEST(MetricsTest, StatsExportConcurrentExportAndTeardown) {
+  auto& registry = MetricsRegistry::Instance();
+  registry.Enable();
+  constexpr int kWorkers = 4, kOwnersPerWorker = 40, kEventsPerOwner = 10;
+  constexpr int64_t kTotal = kWorkers * kOwnersPerWorker * kEventsPerOwner;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([] {
+      for (int o = 0; o < kOwnersPerWorker; ++o) {
+        FakeOwner owner("mt.churn");
+        for (int e = 0; e < kEventsPerOwner; ++e) owner.Record();
+      }
+    });
+  }
+  int64_t last = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string text = i % 2 == 0 ? registry.ExportPrometheus()
+                                   : registry.ExportJson();
+    int64_t seen = SumSeries(text, i % 2 == 0 ? "mt_churn_events_total"
+                                              : "\"mt.churn.events");
+    EXPECT_GE(seen, last);
+    EXPECT_LE(seen, kTotal);
+    last = seen;
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(registry.GetCounter("mt.churn.events")->value(), kTotal);
+  EXPECT_EQ(SumSeries(registry.ExportPrometheus(), "mt_churn_events_total"),
+            kTotal);
 }
 
 }  // namespace

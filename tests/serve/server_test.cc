@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -468,35 +469,83 @@ TEST_F(ServerTest, ReloadWithoutStoreFailsAndKeepsServing) {
   EXPECT_TRUE(server.ServeOne(request).status.ok());
 }
 
+/// Every `<metric>{instance="n"} value` line of a Prometheus export,
+/// as n -> value.
+std::map<std::string, std::string> InstanceSeries(const std::string& text,
+                                                  const std::string& metric) {
+  std::map<std::string, std::string> series;
+  const std::string prefix = metric + "{instance=\"";
+  size_t pos = 0;
+  while ((pos = text.find(prefix, pos)) != std::string::npos) {
+    if (pos > 0 && text[pos - 1] != '\n') {
+      pos += prefix.size();
+      continue;
+    }
+    size_t label_end = text.find("\"} ", pos);
+    size_t line_end = text.find('\n', pos);
+    series[text.substr(pos + prefix.size(),
+                       label_end - pos - prefix.size())] =
+        text.substr(label_end + 3, line_end - label_end - 3);
+    pos = line_end;
+  }
+  return series;
+}
+
 TEST_F(ServerTest, MetricsCountersMatchServerStats) {
-  // With the metrics sink enabled, the obs counters shadow ServerStats
-  // exactly, and the Prometheus export carries those counts verbatim
-  // (DESIGN.md §5.9 acceptance: serve counters match asserted stats).
+  // ServerStats is the one count of every serving event: while the
+  // server lives the export reads it under the server's `instance`
+  // label, and its destruction folds the final counts into the
+  // unlabelled process totals (DESIGN.md §5.9).
   auto& registry = obs::MetricsRegistry::Instance();
   registry.Enable();
   registry.Reset();
 
-  ServerConfig cfg;
-  cfg.queue_capacity = 2;
-  AdvisorServer server(LoadAdvisor(), cfg);
-  auto requests = AllRequests();
-  requests.resize(5);
-  auto responses = server.Serve(requests);
-  ASSERT_EQ(responses.size(), 5u);
-  // Repeat request 0: a cache hit on the second pass.
-  EXPECT_TRUE(server.ServeOne(requests[0]).from_cache);
-  Status reload_status = server.Reload();  // no store: counted as failure
-  EXPECT_FALSE(reload_status.ok());
+  ServerStats stats;
+  {
+    ServerConfig cfg;
+    cfg.queue_capacity = 2;
+    AdvisorServer server(LoadAdvisor(), cfg);
+    auto requests = AllRequests();
+    requests.resize(5);
+    auto responses = server.Serve(requests);
+    ASSERT_EQ(responses.size(), 5u);
+    // Repeat request 0: a cache hit on the second pass.
+    EXPECT_TRUE(server.ServeOne(requests[0]).from_cache);
+    Status reload_status = server.Reload();  // no store: counted as failure
+    EXPECT_FALSE(reload_status.ok());
 
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 6u);
-  EXPECT_EQ(stats.shed, 3u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+    stats = server.stats();
+    EXPECT_EQ(stats.requests, 6u);
+    EXPECT_EQ(stats.admitted, 3u);
+    EXPECT_EQ(stats.shed, 3u);
+    EXPECT_EQ(stats.cache_hits, 1u);
+    // The no-store precondition rejection counts as an attempted, failed
+    // reload, and its message is retained as the last reload error.
+    EXPECT_EQ(stats.reload_attempts, 1u);
+    EXPECT_EQ(stats.reload_failures, 1u);
+    EXPECT_EQ(stats.last_reload_error, reload_status.message());
+
+    std::string live = registry.ExportPrometheus();
+    auto requests_series = InstanceSeries(live, "serve_requests_total");
+    ASSERT_EQ(requests_series.size(), 1u) << live;
+    const std::string label =
+        "{instance=\"" + requests_series.begin()->first + "\"} ";
+    for (const obs::StatsField& field : ExportedFields(stats)) {
+      std::string line = std::string("serve_") + field.name + "_total" +
+                         label + std::to_string(field.value) + "\n";
+      EXPECT_NE(live.find(line), std::string::npos) << line << live;
+    }
+    // Nothing is folded into the process totals while the server lives.
+    EXPECT_EQ(live.find("\nserve_requests_total 6\n"), std::string::npos)
+        << live;
+  }
 
   std::string text = registry.ExportPrometheus();
   registry.Disable();
+  EXPECT_TRUE(InstanceSeries(text, "serve_requests_total").empty()) << text;
   auto expect_line = [&](const std::string& line) {
-    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+    EXPECT_NE(text.find(line + "\n"), std::string::npos) << line << "\n"
+                                                          << text;
   };
   expect_line("serve_requests_total " + std::to_string(stats.requests));
   expect_line("serve_admitted_total " + std::to_string(stats.requests -
@@ -507,18 +556,50 @@ TEST_F(ServerTest, MetricsCountersMatchServerStats) {
   expect_line("serve_batches_total " + std::to_string(stats.batches));
   expect_line("serve_invalid_total 0");
   expect_line("serve_reloads_total " + std::to_string(stats.reloads));
-  // The no-store precondition rejection counts as an attempted, failed
-  // reload in ServerStats and the obs counters alike, and its message is
-  // retained as the last reload error.
-  EXPECT_EQ(stats.reload_attempts, 1u);
-  EXPECT_EQ(stats.reload_failures, 1u);
-  EXPECT_EQ(stats.last_reload_error, reload_status.message());
   expect_line("serve_reload_attempts_total " +
               std::to_string(stats.reload_attempts));
   expect_line("serve_reload_failures_total " +
               std::to_string(stats.reload_failures));
   // Every admitted or shed request lands one latency observation.
   expect_line("serve_request_ms_count " + std::to_string(stats.requests));
+}
+
+TEST_F(ServerTest, TwoServersExportSeparateInstanceSeries) {
+  // Two servers in one process: each exports its own counts under its
+  // own `instance` label, and teardown sums them into the totals.
+  auto& registry = obs::MetricsRegistry::Instance();
+  registry.Enable();
+  registry.Reset();
+  auto requests = AllRequests();
+  {
+    AdvisorServer one(LoadAdvisor(), {});
+    AdvisorServer three(LoadAdvisor(), {});
+    one.ServeOne(requests[0]);
+    three.Serve({requests[1], requests[2]});
+    three.ServeOne(requests[2]);  // a cache hit
+
+    std::string live = registry.ExportPrometheus();
+    auto served = InstanceSeries(live, "serve_requests_total");
+    ASSERT_EQ(served.size(), 2u) << live;
+    std::map<std::string, std::string> by_count;  // count -> instance
+    for (const auto& [instance, value] : served) by_count[value] = instance;
+    ASSERT_EQ(by_count.count("1"), 1u) << live;
+    ASSERT_EQ(by_count.count("3"), 1u) << live;
+    auto embedded = InstanceSeries(live, "serve_embedded_total");
+    EXPECT_EQ(embedded[by_count["1"]], "1");
+    EXPECT_EQ(embedded[by_count["3"]], "2");
+    auto hits = InstanceSeries(live, "serve_cache_hits_total");
+    EXPECT_EQ(hits[by_count["1"]], "0");
+    EXPECT_EQ(hits[by_count["3"]], "1");
+  }
+  std::string text = registry.ExportPrometheus();
+  registry.Disable();
+  EXPECT_NE(text.find("\nserve_requests_total 4\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nserve_embedded_total 3\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nserve_cache_hits_total 1\n"), std::string::npos)
+      << text;
 }
 
 TEST_F(ServerTest, OnlineAppendRefreshesEmbeddingsIncrementally) {

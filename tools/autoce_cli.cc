@@ -79,9 +79,13 @@
 // stats` prints a dataset's epoch state and per-table shape.
 //
 // Telemetry (DESIGN.md §5.9): with AUTOCE_METRICS set, every command
-// records obs counters/histograms and `serve` prints the Prometheus
-// dump at the end. `faults list` prints the registered fault and kill
-// sites with per-site trip counts.
+// records obs counters/histograms, and `serve` and `adapt` print the
+// Prometheus dump at the end. In that dump the live server, estimator
+// services and adaptation pipeline export their Stats fields once per
+// instance (`serve_requests_total{instance="1"}`); the at-exit dump to
+// an AUTOCE_METRICS path, taken after they are destroyed, carries the
+// unlabelled process totals (`serve_requests_total`). `faults list`
+// prints the registered fault and kill sites with per-site trip counts.
 // With AUTOCE_RUN_MANIFEST set, each command writes a RUN_<cmd>.json
 // run manifest (config, seed, git describe, wall time, final metrics).
 
@@ -594,7 +598,7 @@ int CmdAdaptRequeue(const Args& args) {
       return 1;
     }
     auto graph = extractor.Extract(*ds);
-    if (adapt::GraphFingerprint(graph) != fingerprint) continue;
+    if (featgraph::GraphFingerprint(graph) != fingerprint) continue;
 
     auto offered = pipeline->RequeueFromQuarantine(fingerprint, *ds, graph);
     if (!offered.ok()) {
