@@ -15,9 +15,9 @@ FeedbackQueue::FeedbackQueue(std::size_t capacity)
         return ExportedFields(stats_, items_.size());
       }) {}
 
-Admission FeedbackQueue::Offer(data::Dataset dataset,
-                               featgraph::FeatureGraph graph,
-                               double distance) {
+Offered FeedbackQueue::Offer(data::Dataset dataset,
+                             featgraph::FeatureGraph graph,
+                             double distance) {
   uint64_t fingerprint = featgraph::GraphFingerprint(graph);
   // Decided before taking mu_: a tripped fault counts itself in the
   // metrics registry, which must never be entered under mu_.
@@ -28,12 +28,12 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
 
   if (fault) {
     ++stats_.rejected_fault;
-    return Admission::kRejectedFault;
+    return Offered::kRejectedFault;
   }
   for (const OodCandidate& pending : items_) {
     if (pending.fingerprint == fingerprint) {
       ++stats_.deduped;
-      return Admission::kDuplicate;
+      return Offered::kDuplicate;
     }
   }
 
@@ -53,7 +53,7 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
     }
     if (victim->distance >= distance) {
       ++stats_.rejected_full;
-      return Admission::kRejectedFull;
+      return Offered::kRejectedFull;
     }
     items_.erase(victim);
     ++stats_.evicted;
@@ -72,7 +72,7 @@ Admission FeedbackQueue::Offer(data::Dataset dataset,
   // by design — dying here loses pending feedback, never the durable
   // model (the recovery harness re-offers the stream on restart).
   util::KillPoint(util::kill_sites::kAdaptEnqueue, fingerprint);
-  return evicted ? Admission::kAdmittedEvicting : Admission::kAdmitted;
+  return evicted ? Offered::kAdmittedEvicting : Offered::kAdmitted;
 }
 
 std::vector<OodCandidate> FeedbackQueue::DrainBatch(std::size_t max_items) {

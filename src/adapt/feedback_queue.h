@@ -28,8 +28,10 @@ struct OodCandidate {
   uint64_t fingerprint = 0;
 };
 
-/// Outcome of one Offer.
-enum class Admission {
+/// How an offered request was disposed of: by the drift gate
+/// (`AdaptationPipeline::MaybeEnqueue`, kNotOod) or by the queue.
+enum class Offered {
+  kNotOod,           ///< within the drift threshold; nothing enqueued
   kAdmitted,         ///< queued
   kAdmittedEvicting, ///< queued by evicting a lower-priority pending item
   kDuplicate,        ///< an item with the same fingerprint is pending
@@ -76,10 +78,10 @@ class FeedbackQueue {
  public:
   explicit FeedbackQueue(std::size_t capacity);
 
-  /// Offers a candidate; see Admission. `distance` is the caller's
-  /// drift distance (priority).
-  Admission Offer(data::Dataset dataset, featgraph::FeatureGraph graph,
-                  double distance);
+  /// Offers a candidate; never returns kNotOod. `distance` is the
+  /// caller's drift distance (priority).
+  Offered Offer(data::Dataset dataset, featgraph::FeatureGraph graph,
+                double distance);
 
   /// Removes and returns up to `max_items` pending candidates in
   /// arrival (sequence) order.

@@ -22,6 +22,17 @@ namespace autoce::adapt {
 
 namespace {
 
+/// Bounded retries: labeling attempts per item / training attempts per
+/// unit before degrading (sentinel label / quarantine).
+constexpr int kMaxLabelAttempts = 3;
+constexpr int kMaxTrainAttempts = 2;
+/// Seeded exponential backoff between retry attempts:
+/// initial * multiplier^(attempt-1) * (1 + jitter * U[0,1)) ms, with U
+/// drawn from an Rng keyed by (seed, item fingerprint, attempt).
+constexpr double kBackoffInitialMs = 10.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
+
 std::string QuarantineLogPath(const std::string& store_dir) {
   return store_dir + "/QUARANTINE.log";
 }
@@ -178,19 +189,7 @@ Offered AdaptationPipeline::MaybeEnqueue(const data::Dataset& dataset,
   std::shared_ptr<const advisor::AutoCe> advisor = server_->advisor();
   double distance = advisor->DistanceToRcs(graph);
   if (!(distance > advisor->DriftThreshold())) return Offered::kNotOod;
-  switch (queue_.Offer(dataset, graph, distance)) {
-    case Admission::kAdmitted:
-      return Offered::kAdmitted;
-    case Admission::kAdmittedEvicting:
-      return Offered::kAdmittedEvicting;
-    case Admission::kDuplicate:
-      return Offered::kDuplicate;
-    case Admission::kRejectedFull:
-      return Offered::kRejectedFull;
-    case Admission::kRejectedFault:
-      return Offered::kRejectedFault;
-  }
-  return Offered::kRejectedFull;  // unreachable
+  return queue_.Offer(dataset, graph, distance);
 }
 
 Result<Offered> AdaptationPipeline::RequeueFromQuarantine(
@@ -223,29 +222,17 @@ Result<Offered> AdaptationPipeline::RequeueFromQuarantine(
     std::lock_guard<std::mutex> lock(run_mu_);
     distance = trainer_.DistanceToRcs(graph);
   }
-  switch (queue_.Offer(dataset, graph, distance)) {
-    case Admission::kAdmitted:
-      return Offered::kAdmitted;
-    case Admission::kAdmittedEvicting:
-      return Offered::kAdmittedEvicting;
-    case Admission::kDuplicate:
-      return Offered::kDuplicate;
-    case Admission::kRejectedFull:
-      return Offered::kRejectedFull;
-    case Admission::kRejectedFault:
-      return Offered::kRejectedFault;
-  }
-  return Offered::kRejectedFull;  // unreachable
+  return queue_.Offer(dataset, graph, distance);
 }
 
 void AdaptationPipeline::Backoff(uint64_t fingerprint, int attempt) {
-  double ms = config_.backoff_initial_ms;
-  for (int i = 1; i < attempt; ++i) ms *= config_.backoff_multiplier;
+  double ms = kBackoffInitialMs;
+  for (int i = 1; i < attempt; ++i) ms *= kBackoffMultiplier;
   // Jitter keyed by (seed, item, attempt): deterministic, and
   // independent across items so synchronized retry storms cannot form.
   Rng rng(util::FaultKeyMix(util::FaultKeyMix(config_.seed, fingerprint),
                             static_cast<uint64_t>(attempt)));
-  ms *= 1.0 + config_.backoff_jitter * rng.Uniform();
+  ms *= 1.0 + kBackoffJitter * rng.Uniform();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.backoff_ms_total += ms;
@@ -260,7 +247,7 @@ Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
   // with the same label a first-try success would have produced.
   uint64_t label_seed = util::FaultKeyMix(config_.seed, item.fingerprint);
   Status last = Status::Internal("no labeling attempt ran");
-  for (int attempt = 1; attempt <= config_.max_label_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxLabelAttempts; ++attempt) {
     // The budget gates each attempt (a started attempt runs to
     // completion — a label that finishes late is still trustworthy);
     // once it expires the item degrades like retry exhaustion.
@@ -275,7 +262,7 @@ Result<advisor::DatasetLabel> AdaptationPipeline::LabelWithRetries(
       if (label.ok()) return label;
       last = label.status();
     }
-    if (attempt < config_.max_label_attempts) {
+    if (attempt < kMaxLabelAttempts) {
       if (budget.Exhausted()) continue;  // Check() above reports it
       Count(&AdaptationStats::label_retries);
       Backoff(item.fingerprint, attempt);
@@ -329,7 +316,7 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
   // landed in. Sentinel labels are not smeared across the corpus.
   std::vector<featgraph::FeatureGraph> unit_graphs{item.graph};
   std::vector<advisor::DatasetLabel> unit_labels{label};
-  if (config_.mixup_augment && !sentinel && trainer_.RcsSize() > 0) {
+  if (!sentinel && trainer_.RcsSize() > 0) {
     std::vector<double> embedding = trainer_.Embed(item.graph);
     auto neighbors = trainer_.rcs_index().Query(embedding, 1);
     if (!neighbors.empty()) {
@@ -347,7 +334,7 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
 
   bool trained = false;
   Status train_status = Status::OK();
-  for (int attempt = 1; attempt <= config_.max_train_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxTrainAttempts; ++attempt) {
     // The injectable failure is checked BEFORE any trainer mutation, so
     // a faulted attempt is all-or-nothing by construction.
     if (util::FaultPoint(util::fault_sites::kAdaptTrain,
@@ -355,7 +342,7 @@ Status AdaptationPipeline::TrainUnit(const OodCandidate& item,
                                            static_cast<uint64_t>(attempt)))) {
       train_status = Status::Internal("injected train fault (attempt " +
                                       std::to_string(attempt) + ")");
-      if (attempt < config_.max_train_attempts) {
+      if (attempt < kMaxTrainAttempts) {
         Count(&AdaptationStats::train_retries);
         Backoff(item.fingerprint, attempt);
       }

@@ -38,20 +38,6 @@ struct AdaptationConfig {
   std::size_t queue_capacity = 64;
   /// Items drained per RunOnce cycle.
   std::size_t batch_size = 4;
-  /// Bounded retries: labeling attempts per item / training attempts
-  /// per unit before degrading (sentinel label / quarantine).
-  int max_label_attempts = 3;
-  int max_train_attempts = 2;
-  /// Seeded exponential backoff between retry attempts:
-  /// initial * multiplier^(attempt-1) * (1 + jitter * U[0,1)) ms, with
-  /// U drawn from an Rng keyed by (seed, item fingerprint, attempt).
-  double backoff_initial_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.5;
-  /// Mixup-augment each labeled item toward its nearest RCS member
-  /// (paper Eq. 14; skipped for sentinel-labeled items so a degraded
-  /// label is never smeared across the corpus).
-  bool mixup_augment = true;
   /// Seeds the labeler and the backoff jitter (always mixed with the
   /// item fingerprint, so per-item decisions stay content-keyed).
   uint64_t seed = 42;
@@ -127,16 +113,6 @@ struct BatchReport {
   uint64_t generation = 0;
   bool reload_attempted = false;
   bool reload_ok = false;
-};
-
-/// How MaybeEnqueue disposed of a request.
-enum class Offered {
-  kNotOod,  ///< within the drift threshold; nothing enqueued
-  kAdmitted,
-  kAdmittedEvicting,
-  kDuplicate,
-  kRejectedFull,
-  kRejectedFault,
 };
 
 /// One persisted quarantine entry: which unit was dropped, at which

@@ -80,6 +80,9 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
   if (graphs.size() != labels.size()) {
     return Status::InvalidArgument("graphs/labels size mismatch");
   }
+  if (config_.validation_interval < 1) {
+    return Status::InvalidArgument("validation_interval must be >= 1");
+  }
   obs::TraceSpan span("advisor.fit");
   // Skip-and-report: a corrupt sample (bad graph shape, non-finite
   // features or scores) is dropped from the corpus instead of aborting
@@ -136,36 +139,29 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
   Rng init_rng = rng_.Fork(1);
   encoder_ = std::make_unique<gnn::GinEncoder>(extractor_.vertex_dim(),
                                                config_.gin, &init_rng);
-  trainer_ = std::make_unique<gnn::DmlTrainer>(encoder_.get(), config_.dml);
 
   train_rng_ = rng_.Fork(2);
-  best_params_.clear();
-  opt_state_ = nn::Adam::State{};
   cursor_ = TrainCursor{};
-  if (config_.validation_interval <= 0) {
-    cursor_.phase = FitPhase::kPlain;
-  } else {
-    // Train in chunks on an 80% split, checkpointing the encoder on the
-    // D-error of a held-out 20% validation split. Validating on held-out
-    // data (rather than leave-one-out over the training set) is what
-    // detects embedding collapse: the contrastive objective pulls
-    // training neighbors together *by label*, so training-set KNN keeps
-    // improving even as generalization degrades.
-    size_t n = graphs_.size();
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    Rng split_rng = rng_.Fork(7);
-    split_rng.Shuffle(&order);
-    // Clamp so the 80% side keeps >= 2 graphs: tiny corpora (possible
-    // after Fit skipped corrupt samples) must still be trainable.
-    size_t val_n = std::min(std::max<size_t>(4, n / 5), n - 2);
-    cursor_.val_idx.assign(order.begin(),
-                           order.begin() + static_cast<ptrdiff_t>(val_n));
-    RefreshEmbeddings();
-    cursor_.best_err = HoldOutDError(cursor_.val_idx);
-    best_params_ = encoder_->SnapshotParams();
-    cursor_.phase = FitPhase::kChunk;
-  }
+  // Train in chunks on an 80% split, checkpointing the encoder on the
+  // D-error of a held-out 20% validation split. Validating on held-out
+  // data (rather than leave-one-out over the training set) is what
+  // detects embedding collapse: the contrastive objective pulls
+  // training neighbors together *by label*, so training-set KNN keeps
+  // improving even as generalization degrades.
+  size_t n = graphs_.size();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  Rng split_rng = rng_.Fork(7);
+  split_rng.Shuffle(&order);
+  // Clamp so the 80% side keeps >= 2 graphs: tiny corpora (possible
+  // after Fit skipped corrupt samples) must still be trainable.
+  size_t val_n = std::min(std::max<size_t>(4, n / 5), n - 2);
+  cursor_.val_idx.assign(order.begin(),
+                         order.begin() + static_cast<ptrdiff_t>(val_n));
+  RefreshEmbeddings();
+  cursor_.best_err = HoldOutDError(cursor_.val_idx);
+  best_params_ = encoder_->SnapshotParams();
+  cursor_.phase = FitPhase::kChunk;
   // Initial checkpoint (no-op without a store): a kill at any later
   // point resumes from here with every RNG stream already forked, so
   // the resumed run replays the same draws.
@@ -174,27 +170,6 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
 }
 
 Status AutoCe::RunCheckpointedFit() {
-  if (cursor_.phase == FitPhase::kPlain) {
-    // Plain Algorithm 1: one single-shot training pass with no
-    // intermediate checkpoints. A resume restarts it from the initial
-    // snapshot; the restored RNG streams make the restart bit-identical.
-    if (trainer_ == nullptr) {
-      trainer_ =
-          std::make_unique<gnn::DmlTrainer>(encoder_.get(), config_.dml);
-    }
-    auto loss = trainer_->Train(graphs_, dml_labels_, &train_rng_);
-    fit_report_.dml_batches_skipped += trainer_->last_skipped_batches();
-    if (!loss.ok()) return loss.status();
-    opt_state_ = trainer_->ExportOptimizerState();
-    RefreshEmbeddings();
-    if (config_.enable_incremental) {
-      AUTOCE_RETURN_NOT_OK(RunIncrementalLearning());
-    }
-    RefreshDriftThreshold();
-    cursor_.phase = FitPhase::kDone;
-    return CommitCheckpoint();
-  }
-
   if (cursor_.phase == FitPhase::kChunk) {
     // Rebuild the 80% training split from the persisted validation
     // indices (the RCS order is stable across save/resume).
@@ -226,7 +201,6 @@ Status AutoCe::RunCheckpointedFit() {
             static_cast<int64_t>(chunk_trainer.last_skipped_batches()));
       }
       if (!loss.ok()) return loss.status();
-      opt_state_ = chunk_trainer.ExportOptimizerState();
       cursor_.trained_epochs += chunk_cfg.epochs;
       RefreshEmbeddings();
       double err = HoldOutDError(cursor_.val_idx);
@@ -455,8 +429,8 @@ std::vector<std::vector<double>> AutoCe::EmbedBatch(
   return encoder_->EmbedBatch(graphs);
 }
 
-AutoCe::Recommendation AutoCe::FallbackRecommendation(
-    double w_a, std::string reason) const {
+AutoCe::Recommendation AutoCe::CorpusDefault(double w_a,
+                                             std::string reason) const {
   // The same default the drift detector hands an out-of-distribution
   // dataset: ignore the (unusable) embedding geometry and pick the
   // model that scores best on average over the whole RCS.
@@ -479,11 +453,6 @@ AutoCe::Recommendation AutoCe::FallbackRecommendation(
   }
   rec.model = static_cast<ce::ModelId>(best);
   return rec;
-}
-
-AutoCe::Recommendation AutoCe::CorpusDefault(double w_a,
-                                             std::string reason) const {
-  return FallbackRecommendation(w_a, std::move(reason));
 }
 
 Result<AutoCe::Recommendation> AutoCe::Recommend(
@@ -512,11 +481,11 @@ Result<AutoCe::Recommendation> AutoCe::RecommendFromEmbedding(
               std::numeric_limits<double>::quiet_NaN());
   }
   if (!nn::IsFinite(std::span<const double>(embedding))) {
-    return FallbackRecommendation(w_a, "non-finite target embedding");
+    return CorpusDefault(w_a, "non-finite target embedding");
   }
   auto nn = NearestNeighbors(embedding, static_cast<size_t>(config_.knn_k));
   if (nn.empty()) {
-    return FallbackRecommendation(w_a, "no usable RCS embedding");
+    return CorpusDefault(w_a, "no usable RCS embedding");
   }
 
   Recommendation rec;
@@ -598,7 +567,6 @@ Status AutoCe::AddLabeledSamples(
       Rng tune_rng = rng_.Fork(graphs_.size());
       auto loss = tuner.Train(graphs_, dml_labels_, &tune_rng);
       if (!loss.ok()) return loss.status();
-      opt_state_ = tuner.ExportOptimizerState();
     }
   }
   // With fine-tuning disabled (online_update_epochs <= 0) the encoder
@@ -638,7 +606,7 @@ void WriteMatrix(BinaryWriter* w, const nn::Matrix& m) {
   w->WriteU64(m.cols());
   // Mirrors WriteDoubles' framing (u64 count + little-endian payload)
   // without materializing a temporary vector — checkpoints serialize
-  // every encoder/optimizer matrix, so the copy is worth avoiding.
+  // every encoder matrix, so the copy is worth avoiding.
   w->WriteU64(m.size());
   if constexpr (std::endian::native == std::endian::little) {
     w->WriteBytes(m.data(), m.size() * sizeof(double));
@@ -668,7 +636,8 @@ Result<nn::Matrix> ReadMatrix(BinaryReader* r) {
 Status ValidateLoadedConfig(const AutoCeConfig& config) {
   if (config.feature.max_columns < 1 || config.gin.num_layers < 1 ||
       config.gin.hidden < 1 || config.gin.embedding_dim < 1 ||
-      config.knn_k < 1 || config.training_weights.empty()) {
+      config.knn_k < 1 || config.training_weights.empty() ||
+      config.validation_interval < 1) {
     return Status::DataLoss("model config is corrupt");
   }
   return Status::OK();
@@ -820,7 +789,6 @@ constexpr char kSecConfig[] = "config";
 constexpr char kSecRcs[] = "rcs";
 constexpr char kSecEncoder[] = "encoder";
 constexpr char kSecBest[] = "best";
-constexpr char kSecOptimizer[] = "optimizer";
 constexpr char kSecRng[] = "rng";
 constexpr char kSecCursor[] = "cursor";
 
@@ -945,14 +913,6 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
   }
   {
     BinaryWriter w;
-    w.WriteU64(opt_state_.m.size());
-    for (const nn::Matrix& m : opt_state_.m) WriteMatrix(&w, m);
-    for (const nn::Matrix& m : opt_state_.v) WriteMatrix(&w, m);
-    w.WriteI64(opt_state_.t);
-    sections.push_back({kSecOptimizer, w.buffer()});
-  }
-  {
-    BinaryWriter w;
     WriteRngState(&w, rng_.SaveState());
     WriteRngState(&w, train_rng_.SaveState());
     sections.push_back({kSecRng, w.buffer()});
@@ -971,8 +931,10 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
 
 Result<AutoCe> AutoCe::FromSnapshotSections(
     const std::vector<util::SnapshotSection>& sections) {
-  const char* required[] = {kSecConfig, kSecRcs,       kSecEncoder, kSecBest,
-                            kSecOptimizer, kSecRng,    kSecCursor};
+  // Snapshots written before the optimizer moments were dropped also
+  // carry an `optimizer` section; no reader needs it, so it is skipped.
+  const char* required[] = {kSecConfig, kSecRcs, kSecEncoder,
+                            kSecBest,   kSecRng, kSecCursor};
   for (const char* name : required) {
     if (FindSection(sections, name) == nullptr) {
       return Status::DataLoss(std::string("snapshot is missing section '") +
@@ -1027,8 +989,6 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
     const auto* sec = FindSection(sections, kSecEncoder);
     BinaryReader r(sec->payload.data(), sec->payload.size());
     AUTOCE_RETURN_NOT_OK(advisor.ReadEncoder(&r));
-    advisor.trainer_ =
-        std::make_unique<gnn::DmlTrainer>(advisor.encoder_.get(), config.dml);
   }
 
   {
@@ -1039,31 +999,6 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
     for (uint64_t i = 0; i < count; ++i) {
       AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
       advisor.best_params_.push_back(std::move(m));
-    }
-  }
-
-  {
-    const auto* sec = FindSection(sections, kSecOptimizer);
-    BinaryReader r(sec->payload.data(), sec->payload.size());
-    uint64_t count = r.ReadU64();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    nn::Adam::State state;
-    for (uint64_t i = 0; i < count; ++i) {
-      AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-      state.m.push_back(std::move(m));
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      AUTOCE_ASSIGN_OR_RETURN(nn::Matrix m, ReadMatrix(&r));
-      state.v.push_back(std::move(m));
-    }
-    state.t = r.ReadI64();
-    AUTOCE_RETURN_NOT_OK(r.status());
-    advisor.opt_state_ = std::move(state);
-    if (count > 0) {
-      // Restores the trainer's Adam moments for state-inspection parity.
-      // Resumed numerics never depend on this: the chunked schedule
-      // constructs a fresh optimizer per chunk.
-      (void)advisor.trainer_->ImportOptimizerState(advisor.opt_state_);
     }
   }
 
@@ -1079,7 +1014,7 @@ Result<AutoCe> AutoCe::FromSnapshotSections(
     const auto* sec = FindSection(sections, kSecCursor);
     BinaryReader r(sec->payload.data(), sec->payload.size());
     uint32_t phase = r.ReadU32();
-    if (r.status().ok() && phase > static_cast<uint32_t>(FitPhase::kPlain)) {
+    if (r.status().ok() && phase > static_cast<uint32_t>(FitPhase::kDone)) {
       return Status::DataLoss("snapshot cursor has invalid phase " +
                               std::to_string(phase));
     }

@@ -45,7 +45,8 @@ struct AutoCeConfig {
   /// cross-validated D-error over the training corpus (the signal
   /// Algorithm 2 already computes) is evaluated and the best encoder
   /// state is kept. Guards against embedding collapse from over-training
-  /// the contrastive objective on small corpora. 0 disables.
+  /// the contrastive objective on small corpora. Must be >= 1: Fit
+  /// rejects smaller values.
   int validation_interval = 5;
 
   /// Online adapting (Sec. V-E): drift threshold percentile.
@@ -86,7 +87,8 @@ class AutoCe {
   /// candidate set (RCS). Samples that fail validation (graph shape
   /// mismatch, non-finite features or label scores) are skipped and
   /// reported in `fit_report()` instead of aborting; Fit only fails
-  /// when fewer than 4 valid samples remain.
+  /// when fewer than 4 valid samples remain or `validation_interval` is
+  /// below 1 (InvalidArgument).
   Status Fit(const std::vector<featgraph::FeatureGraph>& graphs,
              const std::vector<DatasetLabel>& labels);
 
@@ -155,9 +157,9 @@ class AutoCe {
     return graphs_;
   }
 
-  /// The corpus-default degraded recommendation — the same fallback
-  /// Recommend degrades to when KNN retrieval is impossible. The
-  /// serving layer sheds overloaded requests to it.
+  /// The corpus-default degraded recommendation: the argmax of the mean
+  /// RCS score vector. Recommend degrades to it when KNN retrieval is
+  /// impossible, and the serving layer sheds overloaded requests to it.
   Recommendation CorpusDefault(double w_a, std::string reason) const;
 
   /// --- Online adapting (Sec. V-E) ---
@@ -212,7 +214,6 @@ class AutoCe {
     kChunk = 0,        ///< chunked DML training in progress
     kIncremental = 1,  ///< chunks done; incremental learning pending
     kDone = 2,         ///< training complete
-    kPlain = 3,        ///< single-shot fit (validation_interval <= 0) pending
   };
 
   /// The training cursor: phase, epochs completed, and the held-out
@@ -231,8 +232,8 @@ class AutoCe {
   Status EnableSnapshots(const std::string& dir,
                          util::SnapshotStoreOptions options = {});
 
-  /// Commits the advisor's complete state (config, RCS, encoder,
-  /// optimizer, RNG cursors, training cursor) as a new generation.
+  /// Commits the advisor's complete state (config, RCS, encoder, best
+  /// checkpoint, RNG cursors, training cursor) as a new generation.
   Status SaveSnapshot();
 
   /// Resumes an interrupted Fit: loads the newest good snapshot under
@@ -267,10 +268,6 @@ class AutoCe {
   /// `advisor.fit.sample` fault site.
   Status ValidateSample(const featgraph::FeatureGraph& graph,
                         const DatasetLabel& label, size_t index) const;
-
-  /// The corpus-level fallback: argmax of the mean RCS score vector.
-  Recommendation FallbackRecommendation(double w_a,
-                                        std::string reason) const;
 
   /// Mean D-error of the held-out validation members under KNN over the
   /// non-validation RCS (averaged over the supported weights) — the
@@ -315,7 +312,6 @@ class AutoCe {
   AutoCeConfig config_;
   featgraph::FeatureExtractor extractor_;
   std::unique_ptr<gnn::GinEncoder> encoder_;
-  std::unique_ptr<gnn::DmlTrainer> trainer_;
   Rng rng_;
 
   // Recommendation candidate set.
@@ -341,7 +337,6 @@ class AutoCe {
   TrainCursor cursor_;
   Rng train_rng_{0};                     // DML training stream
   std::vector<nn::Matrix> best_params_;  // best checkpointed encoder
-  nn::Adam::State opt_state_;            // last completed chunk's Adam state
   std::unique_ptr<util::SnapshotStore> store_;
   /// Serialized RCS section, reused across checkpoints (the corpus only
   /// changes between fits / online updates, not between training chunks,

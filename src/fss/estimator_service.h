@@ -29,15 +29,8 @@ inline constexpr const char* kKnowledgeSection = "fss_knowledge";
 
 /// Service knobs.
 struct EstimatorServiceOptions {
-  /// Total cached subplan estimates across all shards (0 disables the
-  /// cache). Each shard holds capacity / shards entries.
+  /// Cached subplan estimates, evicted FIFO (0 disables the cache).
   std::size_t cache_capacity = 4096;
-  /// Number of cache shards (clamped to >= 1); subplans hash-route to a
-  /// shard so concurrent lookups rarely contend on one mutex.
-  std::size_t cache_shards = 8;
-  /// Base seed mixed (content-keyed) into `SeedInference` before every
-  /// model estimate, making sampling models call-order independent.
-  uint64_t inference_seed = 42;
   /// Snapshot store options for the persistent knowledge store.
   util::SnapshotStoreOptions store_options;
   /// Knowledge-aging window: on `NotifyEpoch(e)` entries last observed
@@ -87,7 +80,7 @@ inline std::vector<obs::StatsField> ExportedFields(const ServiceStats& s) {
 
 /// Callback for feedback that disagrees with served knowledge past the
 /// configured threshold: `(subplan, abs log-ratio error)`. Invoked
-/// outside service locks.
+/// outside the service lock.
 using DriftDisagreementHook =
     std::function<void(const query::Query&, double)>;
 
@@ -102,23 +95,25 @@ using DriftDisagreementHook =
 ///      subplans whose TRUE cardinality was observed via executor
 ///      feedback (`ObserveTrueCardinality`), so repeated subplans are
 ///      answered from corrected knowledge, not raw model output;
-///   2. a bounded, sharded FSS-keyed cache of model estimates with
-///      deterministic FIFO eviction per shard;
-///   3. the hosted model, re-seeded per subplan with a content-derived
-///      key (`SeedInference`) so its estimate is a pure function of
-///      (weights, seed, subplan) regardless of concurrent call order.
+///   2. a bounded FSS-keyed cache of model estimates with deterministic
+///      FIFO eviction;
+///   3. the hosted model, fixed at Open and re-seeded per subplan with a
+///      content-derived key (`SeedInference`) so its estimate is a pure
+///      function of (weights, subplan) regardless of call order.
 ///
-/// Degradation (no model installed, a non-finite/negative model answer,
+/// Degradation (no model, a non-finite/negative model answer,
 /// or an injected `fss.lookup` fault) falls back to the PostgreSQL-style
 /// histogram baseline — the optimizer always gets an answer. Knowledge
 /// persists through `util::SnapshotStore` (CRC-framed, crash-safe,
 /// gated by the `fss.commit` fault site); reopening a store directory
 /// warm-starts the knowledge tier.
 ///
-/// Thread-safe: knowledge, each cache shard, and the model are guarded
-/// by separate mutexes. Because every tier's answer for a subplan is
-/// the same pure function of content, concurrent traffic cannot change
-/// WHAT is answered, only which tier answers it.
+/// Thread-safe: one mutex guards the knowledge, the cache, the model,
+/// the counters and the hook. It is never held across a fault point, a
+/// metrics-registry call or the disagreement hook, so the registry's
+/// lock always comes first. Because every tier's answer for a subplan
+/// is the same pure function of content, concurrent traffic cannot
+/// change WHAT is answered, only which tier answers it.
 class EstimatorService : public engine::CardinalitySource {
  public:
   /// Opens the service. `store_dir` empty runs in-memory only;
@@ -150,12 +145,6 @@ class EstimatorService : public engine::CardinalitySource {
   /// untouched and in-memory knowledge is kept.
   Status CommitKnowledge();
 
-  /// Replaces the hosted model (hot swap; null degrades to histogram).
-  void InstallModel(std::unique_ptr<ce::CardinalityEstimator> model);
-
-  /// Clears the estimate cache (knowledge is kept).
-  void ClearCache();
-
   /// Dataset-epoch notification from the dyn mutation stream: stamps
   /// future observations with `epoch`, ages out knowledge older than
   /// `max_age_epochs` (when configured), and clears the estimate cache
@@ -178,43 +167,31 @@ class EstimatorService : public engine::CardinalitySource {
   std::size_t knowledge_size() const;
 
  private:
-  /// One bounded cache shard: map + FIFO insertion queue.
-  struct CacheShard {
-    std::mutex mu;
-    /// literal_hash -> (signature, estimate); signature checked on hit.
-    std::unordered_map<uint64_t, std::pair<std::string, double>> entries;
-    std::deque<uint64_t> fifo;
-  };
-
   EstimatorService(std::unique_ptr<ce::CardinalityEstimator> model,
                    const data::Dataset* dataset,
                    EstimatorServiceOptions options);
 
-  CacheShard& ShardFor(const FssKey& key);
-  /// Sets `*collided` when the slot holds a different subplan.
-  std::optional<double> CacheLookup(const FssKey& key, bool* collided);
-  /// Returns the number of entries evicted to make room.
-  std::size_t CacheInsert(const FssKey& key, double estimate);
+  /// Cache probe; counts a collision when the slot holds a different
+  /// subplan. Requires mu_.
+  std::optional<double> CacheLookup(const FssKey& key);
+  /// Caches a model estimate, evicting FIFO to make room. Requires mu_.
+  void CacheInsert(const FssKey& key, double estimate);
+  /// Drops every cached estimate (knowledge is kept). Requires mu_.
+  void ClearCache();
 
   const EstimatorServiceOptions options_;
   engine::PostgresStyleEstimator histogram_;
   std::optional<util::SnapshotStore> store_;  ///< nullopt = in-memory only
+  const std::unique_ptr<ce::CardinalityEstimator> model_;  // null = none
 
-  mutable std::mutex model_mu_;
-  std::unique_ptr<ce::CardinalityEstimator> model_;  // guarded by model_mu_
-
-  mutable std::mutex knowledge_mu_;
-  KnowledgeStore knowledge_;  // guarded by knowledge_mu_
-
-  std::size_t shard_capacity_ = 0;
-  std::vector<std::unique_ptr<CacheShard>> shards_;
-
-  /// Taken once per event and never nested inside another service lock.
-  mutable std::mutex stats_mu_;
-  ServiceStats stats_;  // guarded by stats_mu_
-
-  mutable std::mutex hook_mu_;
-  DriftDisagreementHook disagreement_hook_;  // guarded by hook_mu_
+  mutable std::mutex mu_;
+  KnowledgeStore knowledge_;  // guarded by mu_
+  /// literal_hash -> (signature, estimate); signature checked on hit.
+  std::unordered_map<uint64_t, std::pair<std::string, double>>
+      cache_;                   // guarded by mu_
+  std::deque<uint64_t> fifo_;   // insertion order; guarded by mu_
+  ServiceStats stats_;          // guarded by mu_
+  DriftDisagreementHook disagreement_hook_;  // guarded by mu_
 
   obs::StatsExport stats_export_{"fss",
                                  [this] { return ExportedFields(stats()); }};

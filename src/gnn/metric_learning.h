@@ -74,17 +74,6 @@ class DmlTrainer {
   /// non-finite losses or gradients.
   int last_skipped_batches() const { return last_skipped_batches_; }
 
-  /// Adam moment/step state, exported for crash-safe checkpoints.
-  nn::Adam::State ExportOptimizerState() const {
-    return optimizer_->ExportState();
-  }
-
-  /// Restores optimizer state exported from a trainer over the same
-  /// encoder architecture.
-  Status ImportOptimizerState(const nn::Adam::State& state) {
-    return optimizer_->ImportState(state);
-  }
-
  private:
   GinEncoder* encoder_;
   DmlConfig config_;

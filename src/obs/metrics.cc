@@ -357,13 +357,13 @@ std::string MetricsRegistry::ExportJson() const {
   for (const auto* series : {&readout.counters, &readout.gauges}) {
     for (const auto& [key, value] : *series) {
       sep();
-      out += "\"" + key + "\": " + value;
+      out += "\"" + JsonEscape(key) + "\": " + value;
     }
   }
   for (const auto& [key, s] : readout.histograms) {
     sep();
-    out += "\"" + key + "\": {\"count\": " + std::to_string(s.count) +
-           ", \"sum\": ";
+    out += "\"" + JsonEscape(key) + "\": {\"count\": " +
+           std::to_string(s.count) + ", \"sum\": ";
     AppendDouble(&out, s.sum);
     out += ", \"p50\": ";
     AppendDouble(&out, s.p50());
@@ -374,6 +374,29 @@ std::string MetricsRegistry::ExportJson() const {
     out += "}";
   }
   out += "}";
+  return out;
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
   return out;
 }
 

@@ -196,8 +196,9 @@ class MetricsRegistry {
   /// StatsExport fields are merged in with their `instance` label.
   std::string ExportPrometheus() const;
 
-  /// One JSON object keyed by `name{labels}`, sorted; histograms render
-  /// as {count, sum, p50, p95, p99}. Embedded by run manifests.
+  /// One JSON object keyed by `name{labels}` (JSON-escaped), sorted;
+  /// histograms render as {count, sum, p50, p95, p99}. Embedded by run
+  /// manifests.
   std::string ExportJson() const;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -215,6 +216,10 @@ class MetricsRegistry {
                   // any static-destruction-order user, like the fault
                   // registry in util/fault.cc)
 };
+
+/// `s` escaped for use inside a JSON string literal (quotes,
+/// backslashes and control characters).
+std::string JsonEscape(const std::string& s);
 
 }  // namespace autoce::obs
 

@@ -68,38 +68,6 @@ class DeadlineBudget {
   std::atomic<bool> armed_{false};
 };
 
-/// \brief A cumulative byte budget (disk or memory) with `Status`-typed
-/// exhaustion.
-///
-/// `Charge` atomically reserves bytes against the limit and fails with
-/// `ResourceExhausted` (without reserving) when the reservation would
-/// exceed it; `Release` returns bytes (e.g. when a garbage-collected
-/// snapshot generation is deleted). A limit of 0 means "unlimited".
-/// All operations are thread-safe and lock-free.
-class ByteBudget {
- public:
-  /// \param limit_bytes Total allowance; 0 disables enforcement.
-  explicit ByteBudget(uint64_t limit_bytes) : limit_(limit_bytes) {}
-
-  /// Reserves `bytes` or fails with `ResourceExhausted` naming `what`.
-  Status Charge(uint64_t bytes, const char* what);
-
-  /// Returns `bytes` to the budget (clamped at 0 used).
-  void Release(uint64_t bytes);
-
-  uint64_t limit() const { return limit_; }
-  uint64_t used() const { return used_.load(std::memory_order_relaxed); }
-
-  /// Bytes left; UINT64_MAX when unlimited.
-  uint64_t remaining() const;
-
-  bool unlimited() const { return limit_ == 0; }
-
- private:
-  uint64_t limit_;
-  std::atomic<uint64_t> used_{0};
-};
-
 }  // namespace autoce::util
 
 #endif  // AUTOCE_UTIL_BUDGET_H_

@@ -43,7 +43,7 @@ class FeedbackQueueTest : public ::testing::Test {
     graphs_ = nullptr;
   }
 
-  static Admission Offer(FeedbackQueue* q, size_t i, double distance) {
+  static Offered Offer(FeedbackQueue* q, size_t i, double distance) {
     return q->Offer((*datasets_)[i], (*graphs_)[i], distance);
   }
 
@@ -72,9 +72,9 @@ TEST_F(FeedbackQueueTest, FingerprintIsContentKeyed) {
 TEST_F(FeedbackQueueTest, AdmitsAndDrainsInArrivalOrder) {
   FeedbackQueue q(8);
   EXPECT_EQ(q.capacity(), 8u);
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 1, 3.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 2, 2.0), Admission::kAdmitted);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 1, 3.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 2, 2.0), Offered::kAdmitted);
   EXPECT_EQ(q.depth(), 3u);
 
   auto batch = q.DrainBatch(2);
@@ -98,30 +98,30 @@ TEST_F(FeedbackQueueTest, AdmitsAndDrainsInArrivalOrder) {
 
 TEST_F(FeedbackQueueTest, DedupsPendingByFingerprint) {
   FeedbackQueue q(8);
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kAdmitted);
   // Same graph again, even at a different distance: duplicate.
-  EXPECT_EQ(Offer(&q, 0, 9.0), Admission::kDuplicate);
+  EXPECT_EQ(Offer(&q, 0, 9.0), Offered::kDuplicate);
   EXPECT_EQ(q.depth(), 1u);
   EXPECT_EQ(q.stats().deduped, 1u);
 
   // Once drained it is no longer pending and re-admits (replay dedup
   // against the RCS is the pipeline's job, not the queue's).
   q.DrainBatch(1);
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kAdmitted);
 }
 
 TEST_F(FeedbackQueueTest, EvictsOnlyStrictlyLowerPriority) {
   FeedbackQueue q(2);
-  EXPECT_EQ(Offer(&q, 0, 2.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 1, 5.0), Admission::kAdmitted);
+  EXPECT_EQ(Offer(&q, 0, 2.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 1, 5.0), Offered::kAdmitted);
 
   // Equal to the minimum pending distance: rejected, the earlier
   // arrival keeps its slot.
-  EXPECT_EQ(Offer(&q, 2, 2.0), Admission::kRejectedFull);
+  EXPECT_EQ(Offer(&q, 2, 2.0), Offered::kRejectedFull);
   // Below the minimum: rejected.
-  EXPECT_EQ(Offer(&q, 3, 1.0), Admission::kRejectedFull);
+  EXPECT_EQ(Offer(&q, 3, 1.0), Offered::kRejectedFull);
   // Above the minimum: the least-OOD pending item (index 0) is evicted.
-  EXPECT_EQ(Offer(&q, 4, 3.0), Admission::kAdmittedEvicting);
+  EXPECT_EQ(Offer(&q, 4, 3.0), Offered::kAdmittedEvicting);
   EXPECT_EQ(q.depth(), 2u);
 
   auto batch = q.DrainBatch(2);
@@ -139,9 +139,9 @@ TEST_F(FeedbackQueueTest, EvictionTieBreaksTowardNewerVictim) {
   FeedbackQueue q(2);
   // Two pending items at the same distance: the NEWER one (larger
   // sequence) is the victim, keeping the earlier arrival.
-  EXPECT_EQ(Offer(&q, 0, 2.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 1, 2.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 2, 4.0), Admission::kAdmittedEvicting);
+  EXPECT_EQ(Offer(&q, 0, 2.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 1, 2.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 2, 4.0), Offered::kAdmittedEvicting);
 
   auto batch = q.DrainBatch(2);
   ASSERT_EQ(batch.size(), 2u);
@@ -201,8 +201,8 @@ TEST_F(FeedbackQueueTest, ConcurrentEqualPriorityOffersNeverEvict) {
   // equal-distance items every racing equal-distance offer must lose —
   // deterministically, no matter how the threads interleave.
   FeedbackQueue q(2);
-  ASSERT_EQ(Offer(&q, 0, 5.0), Admission::kAdmitted);
-  ASSERT_EQ(Offer(&q, 1, 5.0), Admission::kAdmitted);
+  ASSERT_EQ(Offer(&q, 0, 5.0), Offered::kAdmitted);
+  ASSERT_EQ(Offer(&q, 1, 5.0), Offered::kAdmitted);
 
   std::vector<std::thread> threads;
   std::atomic<int> evicting{0};
@@ -210,10 +210,10 @@ TEST_F(FeedbackQueueTest, ConcurrentEqualPriorityOffersNeverEvict) {
   for (size_t item = 2; item < 6; ++item) {
     threads.emplace_back([&, item] {
       for (int i = 0; i < 25; ++i) {
-        Admission a = Offer(&q, item, 5.0);
-        if (a == Admission::kAdmittedEvicting) ++evicting;
-        if (a == Admission::kRejectedFull) ++rejected;
-        EXPECT_NE(a, Admission::kAdmitted);
+        Offered a = Offer(&q, item, 5.0);
+        if (a == Offered::kAdmittedEvicting) ++evicting;
+        if (a == Offered::kRejectedFull) ++rejected;
+        EXPECT_NE(a, Offered::kAdmitted);
       }
     });
   }
@@ -247,8 +247,8 @@ TEST_F(FeedbackQueueTest, SameOfferedStreamYieldsSameDrainedStream) {
 TEST_F(FeedbackQueueTest, ZeroCapacityIsCoercedToOne) {
   FeedbackQueue q(0);
   EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
-  EXPECT_EQ(Offer(&q, 1, 2.0), Admission::kAdmittedEvicting);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kAdmitted);
+  EXPECT_EQ(Offer(&q, 1, 2.0), Offered::kAdmittedEvicting);
   EXPECT_EQ(q.depth(), 1u);
 }
 
@@ -259,7 +259,7 @@ TEST_F(FeedbackQueueTest, EnqueueFaultDropsAndCountsWithoutFailing) {
                           ":1.0")
           .ok());
   FeedbackQueue q(8);
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kRejectedFault);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kRejectedFault);
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_EQ(q.stats().rejected_fault, 1u);
   EXPECT_EQ(q.stats().offered, 1u);
@@ -267,7 +267,7 @@ TEST_F(FeedbackQueueTest, EnqueueFaultDropsAndCountsWithoutFailing) {
 
   // With injection off the same offer admits: the fault only ever
   // drops the one candidate, it cannot wedge the queue.
-  EXPECT_EQ(Offer(&q, 0, 1.0), Admission::kAdmitted);
+  EXPECT_EQ(Offer(&q, 0, 1.0), Offered::kAdmitted);
 }
 
 }  // namespace

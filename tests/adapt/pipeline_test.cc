@@ -179,7 +179,7 @@ class PipelineTest : public ::testing::Test {
 
   /// Offers feed item `i` straight to the queue (bypassing drift
   /// detection, which has its own test) with a distinct distance.
-  static Admission OfferFeed(AdaptationPipeline* pipeline, size_t i) {
+  static Offered OfferFeed(AdaptationPipeline* pipeline, size_t i) {
     return pipeline->queue().Offer((*feed_datasets_)[i], (*feed_graphs_)[i],
                                    1.0 + static_cast<double>(i));
   }
@@ -201,8 +201,8 @@ TEST_F(PipelineTest, AppliesUnitsCommitsGenerationsAndReloadsServer) {
   uint64_t gen_before = rig.server->generation();
   size_t rcs_before = rig.pipeline->TrainerRcsSize();
 
-  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 0), Admission::kAdmitted);
-  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 1), Admission::kAdmitted);
+  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 0), Offered::kAdmitted);
+  EXPECT_EQ(OfferFeed(rig.pipeline.get(), 1), Offered::kAdmitted);
   auto report = rig.pipeline->RunOnce();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -294,9 +294,8 @@ TEST_F(PipelineTest, MaybeEnqueueChecksServingDriftThreshold) {
 
 TEST_F(PipelineTest, LabelFaultExhaustionDegradesToSentinel) {
   std::string dir = CloneTemplate("adapt_label_fault");
-  AdaptationConfig config;
   std::vector<double> sleeps;
-  Rig rig = OpenRig(dir, config);
+  Rig rig = OpenRig(dir);
   rig.pipeline->set_sleep_fn([&](double ms) { sleeps.push_back(ms); });
   size_t rcs_before = rig.pipeline->TrainerRcsSize();
 
@@ -327,13 +326,14 @@ TEST_F(PipelineTest, LabelFaultExhaustionDegradesToSentinel) {
     EXPECT_TRUE(last.failed[m]);
   }
 
-  // Backoff ran between attempts, bounded by the jittered exponential.
+  // Backoff ran between attempts, bounded by the jittered exponential
+  // (10 ms initial, doubling, up to +50% jitter).
   ASSERT_EQ(sleeps.size(), 2u);
   for (size_t a = 0; a < sleeps.size(); ++a) {
-    double base = config.backoff_initial_ms;
-    for (size_t i = 0; i < a; ++i) base *= config.backoff_multiplier;
+    double base = 10.0;
+    for (size_t i = 0; i < a; ++i) base *= 2.0;
     EXPECT_GE(sleeps[a], base);
-    EXPECT_LE(sleeps[a], base * (1.0 + config.backoff_jitter));
+    EXPECT_LE(sleeps[a], base * 1.5);
   }
   EXPECT_GT(stats.backoff_ms_total, 0.0);
 }

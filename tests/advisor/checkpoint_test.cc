@@ -44,16 +44,21 @@ AutoCeConfig SmallConfig() {
 }
 
 TEST(CheckpointTest, BothValidationModesFit) {
+  // Chunked validation is the only training mode: an interval below 1
+  // is refused up front, a positive one fits.
   SmallCorpus corpus = MakeSmallCorpus(20, 3);
-  for (int interval : {0, 5}) {
-    AutoCeConfig cfg = SmallConfig();
-    cfg.validation_interval = interval;
-    AutoCe advisor(cfg);
-    ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok())
-        << "interval " << interval;
-    auto rec = advisor.Recommend(corpus.graphs[0], 0.9);
-    EXPECT_TRUE(rec.ok());
-  }
+  AutoCeConfig cfg = SmallConfig();
+  cfg.validation_interval = 0;
+  AutoCe refused(cfg);
+  EXPECT_EQ(refused.Fit(corpus.graphs, corpus.labels).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.RcsSize(), 0u);
+
+  cfg.validation_interval = 5;
+  AutoCe advisor(cfg);
+  ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
+  auto rec = advisor.Recommend(corpus.graphs[0], 0.9);
+  EXPECT_TRUE(rec.ok());
 }
 
 TEST(CheckpointTest, FitIsDeterministic) {

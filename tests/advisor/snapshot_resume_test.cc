@@ -6,6 +6,7 @@
 
 #include "advisor/autoce.h"
 #include "data/generator.h"
+#include "util/serde.h"
 #include "util/snapshot.h"
 
 namespace autoce::advisor {
@@ -164,28 +165,93 @@ TEST(SnapshotResumeTest, ResumeFromEveryGenerationReachesIdenticalModel) {
   }
 }
 
-TEST(SnapshotResumeTest, PlainPathResumesFromInitialSnapshot) {
-  SmallCorpus corpus = MakeSmallCorpus(12, 19);
-  AutoCeConfig cfg = SmallConfig();
-  cfg.validation_interval = 0;  // plain Algorithm 1
-  std::string dir = FreshDir("resume_plain");
+/// The sections of generation `g` of the store at `dir`.
+std::vector<util::SnapshotSection> LoadGeneration(
+    const std::string& dir, uint64_t g,
+    const util::SnapshotStoreOptions& options) {
+  auto store = util::SnapshotStore::Open(dir, options);
+  EXPECT_TRUE(store.ok());
+  std::string copy_dir = FreshDir("resume_load_gen" + std::to_string(g));
+  auto copy = util::SnapshotStore::Open(copy_dir, options);
+  EXPECT_TRUE(copy.ok());
+  CopyFile(store->GenerationPath(g), copy->GenerationPath(g));
+  auto sections = copy->LoadLatest();
+  EXPECT_TRUE(sections.ok()) << sections.status().ToString();
+  return sections.ok() ? *sections : std::vector<util::SnapshotSection>{};
+}
+
+/// Commits `sections` as the only generation of a fresh store.
+std::string CommitToFreshDir(const std::string& name,
+                             const std::vector<util::SnapshotSection>& sections) {
+  std::string dir = FreshDir(name);
+  auto store = util::SnapshotStore::Open(dir);
+  EXPECT_TRUE(store.ok());
+  EXPECT_TRUE(store->Commit(sections).ok());
+  return dir;
+}
+
+TEST(SnapshotResumeTest, ResumeIgnoresLegacyOptimizerSection) {
+  // Snapshots written before the Adam moments were dropped carry an
+  // `optimizer` section between `best` and `rng`: a u64 matrix count,
+  // the first then the second moments (rows, cols, framed doubles) and
+  // the i64 step count. Resuming one must reach the same model.
+  SmallCorpus corpus = MakeSmallCorpus(14, 19);
+  std::string dir = FreshDir("resume_legacy");
   util::SnapshotStoreOptions options;
-  options.keep_generations = 8;
-  AutoCe advisor(cfg);
+  options.keep_generations = 64;
+  AutoCe advisor(SmallConfig());
   ASSERT_TRUE(advisor.EnableSnapshots(dir, options).ok());
   ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
   const uint64_t baseline = advisor.ModelDigest();
 
+  BinaryWriter legacy;
+  legacy.WriteU64(1);
+  for (int moment = 0; moment < 2; ++moment) {
+    legacy.WriteU64(1);
+    legacy.WriteU64(2);
+    legacy.WriteDoubles({0.25, -0.5});
+  }
+  legacy.WriteI64(20);
+
   auto store = util::SnapshotStore::Open(dir, options);
   ASSERT_TRUE(store.ok());
-  // Generation 1 is the pre-training snapshot (phase kPlain).
-  std::string partial_dir = FreshDir("resume_plain_gen1");
-  auto partial = util::SnapshotStore::Open(partial_dir, options);
-  ASSERT_TRUE(partial.ok());
-  CopyFile(store->GenerationPath(1), partial->GenerationPath(1));
-  auto resumed = AutoCe::ResumeFit(partial_dir, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->ModelDigest(), baseline);
+  // A mid-training generation and the finished one.
+  for (uint64_t g : {uint64_t{2}, store->ListGenerations().back()}) {
+    std::vector<util::SnapshotSection> sections =
+        LoadGeneration(dir, g, options);
+    ASSERT_EQ(sections.size(), 6u);
+    ASSERT_EQ(sections[3].name, "best");
+    sections.insert(sections.begin() + 4, {"optimizer", legacy.buffer()});
+    std::string legacy_dir =
+        CommitToFreshDir("resume_legacy_gen" + std::to_string(g), sections);
+
+    auto resumed = AutoCe::ResumeFit(legacy_dir);
+    ASSERT_TRUE(resumed.ok())
+        << "generation " << g << ": " << resumed.status().ToString();
+    EXPECT_EQ(resumed->ModelDigest(), baseline) << "generation " << g;
+  }
+}
+
+TEST(SnapshotResumeTest, RetiredPlainPhaseIsDataLoss) {
+  SmallCorpus corpus = MakeSmallCorpus(12, 29);
+  std::string dir = FreshDir("resume_phase3");
+  AutoCe advisor(SmallConfig());
+  ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+  ASSERT_TRUE(advisor.Fit(corpus.graphs, corpus.labels).ok());
+  auto sections = util::SnapshotStore::Open(dir)->LoadLatest();
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections->back().name, "cursor");
+  // The cursor opens with the u32 little-endian phase; 3 was the
+  // single-shot fit, which no longer exists.
+  std::string& cursor = sections->back().payload;
+  ASSERT_GE(cursor.size(), 4u);
+  cursor[0] = 3;
+  cursor[1] = cursor[2] = cursor[3] = 0;
+
+  auto resumed = AutoCe::ResumeFit(CommitToFreshDir("resume_phase3_bad",
+                                                    *sections));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(SnapshotResumeTest, OnlineUpdatesCommitAndRestore) {

@@ -49,18 +49,18 @@ Corpus MakeCorpus(int n, uint64_t seed) {
   return out;
 }
 
-autoce::advisor::AutoCeConfig HarnessConfig(bool plain) {
+autoce::advisor::AutoCeConfig HarnessConfig() {
   autoce::advisor::AutoCeConfig cfg;
   cfg.dml.epochs = 6;
-  cfg.validation_interval = plain ? 0 : 2;
+  cfg.validation_interval = 2;
   cfg.gin.hidden = 10;
   cfg.gin.embedding_dim = 6;
   return cfg;
 }
 
-int FreshFit(const std::string& dir, bool plain, uint64_t* digest) {
+int FreshFit(const std::string& dir, uint64_t* digest) {
   Corpus corpus = MakeCorpus(12, 29);
-  autoce::advisor::AutoCe advisor(HarnessConfig(plain));
+  autoce::advisor::AutoCe advisor(HarnessConfig());
   autoce::Status st = advisor.EnableSnapshots(dir);
   if (!st.ok()) {
     std::fprintf(stderr, "EnableSnapshots: %s\n", st.ToString().c_str());
@@ -104,14 +104,11 @@ int ReloadPass(const std::string& dir, uint64_t fit_digest) {
 int main(int argc, char** argv) {
   std::string dir;
   bool resume = false;
-  bool plain = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dir=", 6) == 0) {
       dir = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
-    } else if (std::strcmp(argv[i], "--plain") == 0) {
-      plain = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -131,14 +128,14 @@ int main(int argc, char** argv) {
     } else if (resumed.status().code() == autoce::StatusCode::kNotFound) {
       // The crash predated the first durable checkpoint: restart the
       // job from scratch, exactly what a supervisor would do.
-      if (int rc = FreshFit(dir, plain, &digest); rc != 0) return rc;
+      if (int rc = FreshFit(dir, &digest); rc != 0) return rc;
     } else {
       std::fprintf(stderr, "ResumeFit: %s\n",
                    resumed.status().ToString().c_str());
       return 1;
     }
   } else {
-    if (int rc = FreshFit(dir, plain, &digest); rc != 0) return rc;
+    if (int rc = FreshFit(dir, &digest); rc != 0) return rc;
   }
   if (int rc = ReloadPass(dir, digest); rc != 0) return rc;
   std::printf("DIGEST %016" PRIx64 "\n", digest);

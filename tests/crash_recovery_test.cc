@@ -151,25 +151,5 @@ INSTANTIATE_TEST_SUITE_P(Threads, KillPointSweepTest,
                            return "t" + std::to_string(info.param);
                          });
 
-TEST(CrashRecoveryTest, PlainFitKilledAtFirstCheckpointRestarts) {
-  // The plain (validation_interval = 0) path persists only the initial
-  // and final snapshots; a kill at the first checkpoint must still
-  // resume to the baseline digest (by replaying training from the
-  // restored RNG streams).
-  RunResult baseline = RunCmd(
-      HelperCmd(FreshDir("crash_plain_base"), 1, "", false) + " --plain");
-  ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
-  const std::string want = ExtractDigest(baseline.output);
-
-  std::string dir = FreshDir("crash_plain");
-  RunResult killed =
-      RunCmd(HelperCmd(dir, 1, util::kill_sites::kAdvisorCheckpoint, false) +
-          " --plain");
-  ASSERT_EQ(killed.exit_code, util::kKillExitCode);
-  RunResult resumed = RunCmd(HelperCmd(dir, 1, "", true) + " --plain");
-  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
-  EXPECT_EQ(ExtractDigest(resumed.output), want);
-}
-
 }  // namespace
 }  // namespace autoce

@@ -395,7 +395,7 @@ void ExerciseAdaptEnqueue() {
   // thrown back at the serve path)...
   ASSERT_TRUE(reg.Configure(std::string(sites::kAdaptEnqueue)).ok());
   EXPECT_EQ(queue.Offer(datasets[0], fx.Extract(datasets[0]), 1.0),
-            adapt::Admission::kRejectedFault);
+            adapt::Offered::kRejectedFault);
   EXPECT_GT(reg.FireCount(sites::kAdaptEnqueue), 0);
   EXPECT_EQ(queue.depth(), 0u);
   EXPECT_EQ(queue.stats().rejected_fault, 1u);
@@ -403,7 +403,7 @@ void ExerciseAdaptEnqueue() {
   // ...and with injection off the same candidate admits.
   reg.Disable();
   EXPECT_EQ(queue.Offer(datasets[0], fx.Extract(datasets[0]), 1.0),
-            adapt::Admission::kAdmitted);
+            adapt::Offered::kAdmitted);
 }
 
 /// Shared contract of the pipeline-stage sites: the injected stage

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -146,7 +148,6 @@ TEST(EstimatorServiceTest, DeterministicFifoEviction) {
   data::Dataset ds = MakeDataset(15);
   EstimatorServiceOptions options;
   options.cache_capacity = 2;
-  options.cache_shards = 1;
   auto service = EstimatorService::Open(
       "", std::make_unique<SamplingStubModel>(), &ds, options);
   ASSERT_TRUE(service.ok());
@@ -324,6 +325,78 @@ TEST(EstimatorServiceTest, TwoServicesExportSeparateInstanceSeries) {
   EXPECT_NE(text.find("\nfss_fallbacks_total 1\n"), std::string::npos)
       << text;
   EXPECT_EQ(text.find("fss_epoch"), std::string::npos) << text;
+}
+
+TEST(EstimatorServiceTest, ConcurrentLookupsFeedbackAndExports) {
+  // One service driven from 4 threads: lookups, executor feedback, stats
+  // reads and registry exports interleave (the tsan label runs this
+  // under ThreadSanitizer). The answers stay the single-threaded ones
+  // and the counters add up.
+  auto& registry = obs::MetricsRegistry::Instance();
+  registry.Enable();
+  data::Dataset ds = MakeDataset(21);
+  auto queries = MakeWorkload(ds, 8, 13);
+  ASSERT_GE(queries.size(), 4u);
+  const size_t half = queries.size() / 2;  // [half, end) gets feedback
+
+  std::vector<double> want;
+  {
+    auto reference = EstimatorService::Open(
+        "", std::make_unique<SamplingStubModel>(), &ds);
+    ASSERT_TRUE(reference.ok());
+    for (const auto& q : queries) want.push_back((*reference)->EstimateSubplan(q));
+  }
+
+  EstimatorServiceOptions options;
+  options.cache_capacity = 3;  // small enough to evict under load
+  options.drift_disagreement_threshold = 1e-9;
+  auto service = EstimatorService::Open(
+      "", std::make_unique<SamplingStubModel>(), &ds, options);
+  ASSERT_TRUE(service.ok());
+  EstimatorService* svc = service->get();
+  std::atomic<int> hook_calls{0};
+  svc->set_disagreement_hook(
+      [&](const query::Query&, double) { hook_calls.fetch_add(1); });
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          double got = svc->EstimateSubplan(queries[i]);
+          // Feedback only ever reports 7 rows, so a knowledge answer
+          // for the second half is 7; everything else is the model's.
+          if (got != want[i] && !(i >= half && got == 7.0)) {
+            wrong.fetch_add(1);
+          }
+          if (i >= half && (round + t) % 3 == 0) {
+            svc->ObserveTrueCardinality(queries[i], 7);
+          }
+        }
+        ServiceStats mid = svc->stats();
+        EXPECT_GE(mid.lookups, mid.knowledge_hits + mid.cache_hits);
+        EXPECT_FALSE(registry.ExportJson().empty());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  ServiceStats stats = svc->stats();
+  const uint64_t lookups = kThreads * kRounds * queries.size();
+  EXPECT_EQ(stats.lookups, lookups);
+  EXPECT_EQ(stats.knowledge_hits + stats.cache_hits + stats.model_estimates +
+                stats.fallbacks,
+            lookups);
+  EXPECT_EQ(stats.fallbacks, 0u);
+  EXPECT_GT(stats.knowledge_hits, 0u);
+  EXPECT_GT(stats.feedback, 0u);
+  EXPECT_EQ(stats.drift_disagreements, static_cast<uint64_t>(hook_calls));
+  EXPECT_LE(svc->cache_size(), 3u);
+  registry.Disable();
 }
 
 }  // namespace

@@ -110,57 +110,5 @@ TEST(OptimizerTest, ClipDisabledWhenNonPositive) {
   EXPECT_DOUBLE_EQ(g(0, 0), 30.0);
 }
 
-TEST(OptimizerTest, AdamStateExportImportContinuesBitIdentically) {
-  // Run A: 40 uninterrupted steps. Run B: 15 steps, export the state
-  // into a freshly built optimizer over a copy of the parameters taken
-  // at that point, then 25 more. Every update must match bit for bit.
-  auto quadratic_grad = [](const Matrix& p, Matrix* g) {
-    (*g)(0, 0) = 2.0 * (p(0, 0) - 1.0);
-    (*g)(0, 1) = 2.0 * (p(0, 1) + 2.0);
-  };
-  Matrix pa = Matrix::FromRows({{4.0, -7.0}});
-  Matrix ga(1, 2);
-  Adam a({&pa}, {&ga}, 0.05);
-  for (int i = 0; i < 40; ++i) {
-    quadratic_grad(pa, &ga);
-    a.Step();
-  }
-
-  Matrix pb = Matrix::FromRows({{4.0, -7.0}});
-  Matrix gb(1, 2);
-  Adam b1({&pb}, {&gb}, 0.05);
-  for (int i = 0; i < 15; ++i) {
-    quadratic_grad(pb, &gb);
-    b1.Step();
-  }
-  Adam::State state = b1.ExportState();
-  EXPECT_EQ(state.t, 15);
-  Adam b2({&pb}, {&gb}, 0.05);
-  ASSERT_TRUE(b2.ImportState(state).ok());
-  for (int i = 0; i < 25; ++i) {
-    quadratic_grad(pb, &gb);
-    b2.Step();
-  }
-  EXPECT_EQ(pa(0, 0), pb(0, 0));
-  EXPECT_EQ(pa(0, 1), pb(0, 1));
-}
-
-TEST(OptimizerTest, AdamImportRejectsMismatchedState) {
-  Matrix p = Matrix::FromRows({{1.0, 2.0}});
-  Matrix g(1, 2);
-  Adam adam({&p}, {&g}, 0.01);
-  Adam::State state;  // empty: wrong parameter count
-  EXPECT_FALSE(adam.ImportState(state).ok());
-  state.m.emplace_back(2, 2, 0.0);  // wrong shape
-  state.v.emplace_back(2, 2, 0.0);
-  EXPECT_FALSE(adam.ImportState(state).ok());
-  state.m[0] = Matrix(1, 2, 0.0);
-  state.v[0] = Matrix(1, 2, 0.0);
-  state.t = -1;  // negative step count
-  EXPECT_FALSE(adam.ImportState(state).ok());
-  state.t = 0;
-  EXPECT_TRUE(adam.ImportState(state).ok());
-}
-
 }  // namespace
 }  // namespace autoce::nn

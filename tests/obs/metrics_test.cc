@@ -176,7 +176,9 @@ TEST(MetricsTest, JsonExportKeysAndHistogramShape) {
   Histogram* h = registry.GetHistogram("mt.json.h", {}, {1, 2});
   h->Observe(1.5);
   std::string json = registry.ExportJson();
-  EXPECT_NE(json.find("\"mt.json.c{site=\"s\"}\": 7"), std::string::npos);
+  // Label quotes are escaped, so the key stays one JSON string.
+  EXPECT_NE(json.find("\"mt.json.c{site=\\\"s\\\"}\": 7"),
+            std::string::npos);
   EXPECT_NE(json.find("\"mt.json.h\": {\"count\": 1, \"sum\": 1.5"),
             std::string::npos);
   EXPECT_NE(json.find("\"p50\":"), std::string::npos);
@@ -272,9 +274,11 @@ TEST(MetricsTest, StatsExportLabelsLiveFieldsAndFoldsOnDestroy) {
   EXPECT_NE(text.find("mt_se_level" + la + " 3\n"), std::string::npos);
   EXPECT_EQ(text.find("mt_se_events_total "), std::string::npos);
   std::string json = registry.ExportJson();
-  EXPECT_NE(json.find("\"mt.se.events" + la + "\": 3"), std::string::npos)
+  EXPECT_NE(json.find("\"mt.se.events" + JsonEscape(la) + "\": 3"),
+            std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"mt.se.level" + lb + "\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"mt.se.level" + JsonEscape(lb) + "\": 1"),
+            std::string::npos);
 
   // Teardown folds counts into the unlabelled counter; levels drop.
   a.reset();

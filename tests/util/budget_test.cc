@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "util/status.h"
 
@@ -80,60 +77,6 @@ TEST(DeadlineBudgetTest, DefaultClockIsMonotonic) {
   double b = budget.Elapsed();
   EXPECT_GE(b, a);
   EXPECT_TRUE(budget.Check("steady").ok());
-}
-
-TEST(ByteBudgetTest, UnlimitedAcceptsEverything) {
-  ByteBudget budget(0);
-  EXPECT_TRUE(budget.unlimited());
-  EXPECT_TRUE(budget.Charge(UINT64_MAX, "all").ok());
-  EXPECT_EQ(budget.remaining(), UINT64_MAX);
-}
-
-TEST(ByteBudgetTest, ChargeAndReleaseTrackUsage) {
-  ByteBudget budget(100);
-  EXPECT_TRUE(budget.Charge(60, "a").ok());
-  EXPECT_EQ(budget.used(), 60u);
-  EXPECT_EQ(budget.remaining(), 40u);
-
-  Status st = budget.Charge(41, "b");
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(st.message().find("b"), std::string::npos);
-  EXPECT_EQ(budget.used(), 60u) << "failed charge must not reserve";
-
-  EXPECT_TRUE(budget.Charge(40, "c").ok());
-  EXPECT_EQ(budget.remaining(), 0u);
-
-  budget.Release(50);
-  EXPECT_EQ(budget.used(), 50u);
-  EXPECT_TRUE(budget.Charge(50, "d").ok());
-}
-
-TEST(ByteBudgetTest, ReleaseClampsAtZero) {
-  ByteBudget budget(10);
-  EXPECT_TRUE(budget.Charge(4, "x").ok());
-  budget.Release(1000);
-  EXPECT_EQ(budget.used(), 0u);
-}
-
-TEST(ByteBudgetTest, ConcurrentChargesNeverOversubscribe) {
-  ByteBudget budget(1000);
-  constexpr int kThreads = 8;
-  constexpr int kAttempts = 100;
-  std::atomic<uint64_t> granted{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kAttempts; ++i) {
-        if (budget.Charge(7, "race").ok()) {
-          granted.fetch_add(7, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_LE(granted.load(), 1000u);
-  EXPECT_EQ(granted.load(), budget.used());
 }
 
 }  // namespace

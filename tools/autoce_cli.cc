@@ -746,7 +746,6 @@ const char* PhaseName(uint32_t phase) {
     case 0: return "chunk training";
     case 1: return "incremental learning";
     case 2: return "done";
-    case 3: return "plain training";
     default: return "unknown";
   }
 }
@@ -1047,8 +1046,8 @@ int CmdVersion(const Args& args) {
                   ? (std::to_string(disk_budget) + " bytes").c_str()
                   : "unlimited");
   fss::EstimatorServiceOptions fss_defaults;
-  std::printf("  fss cache         : %zu entries x %zu shards (default)\n",
-              fss_defaults.cache_capacity, fss_defaults.cache_shards);
+  std::printf("  fss cache         : %zu entries (default)\n",
+              fss_defaults.cache_capacity);
   if (std::string dir = args.Get("fss-store"); !dir.empty()) {
     auto loaded = LoadFssKnowledge(dir);
     if (loaded.ok()) {
@@ -1113,11 +1112,8 @@ int Main(int argc, char** argv) {
     // FSS cache/store stats, like the budgets above: a run touching a
     // knowledge store is reproducible + auditable from its manifest.
     fss::EstimatorServiceOptions fss_defaults;
-    manifest
-        .AddInt("fss_cache_capacity",
-                static_cast<int64_t>(fss_defaults.cache_capacity))
-        .AddInt("fss_cache_shards",
-                static_cast<int64_t>(fss_defaults.cache_shards));
+    manifest.AddInt("fss_cache_capacity",
+                    static_cast<int64_t>(fss_defaults.cache_capacity));
     if (std::string dir = args.Get("fss-store"); !dir.empty()) {
       if (auto loaded = LoadFssKnowledge(dir); loaded.ok()) {
         manifest.AddString("fss_store", dir)
