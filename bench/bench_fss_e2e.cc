@@ -109,7 +109,39 @@ struct PhaseTotals {
   uint64_t knowledge = 0;     // store entries after the phase
   uint64_t model_calls = 0;
   uint64_t knowledge_hits = 0;
+  /// Queries that failed to plan, hit the intermediate-row cap, or
+  /// returned a row count other than the true cardinality; they add
+  /// nothing to the time and cost totals.
+  uint64_t failed = 0;
 };
+
+/// Plans `q` with `estimate` and executes the plan, timing both. Adds
+/// the run to `totals` and `digest` when it returned the true row
+/// count; otherwise counts it as failed.
+template <typename Estimate>
+void PlanAndExecute(const data::Dataset& ds, const query::Query& q,
+                    engine::JoinOrderOptimizer* opt,
+                    engine::PlanExecutor* exec, Estimate&& estimate,
+                    PhaseTotals* totals, Digest* digest) {
+  Timer t;
+  auto plan = opt->Optimize(q, estimate);
+  if (!plan.ok()) {
+    ++totals->failed;
+    return;
+  }
+  engine::ExecutionResult result = exec->Execute(q, **plan);
+  double seconds = t.ElapsedSeconds();  // optimize + execute
+  auto truth = engine::TrueCardinality(ds, q);
+  if (!result.completed || !truth.ok() || result.output_rows != *truth) {
+    ++totals->failed;
+    return;
+  }
+  totals->e2e_seconds += seconds;
+  double cost = TrueCostOf(ds, **plan, q);
+  totals->plan_cost += cost;
+  digest->Add((*plan)->ToString());
+  digest->Add(cost);
+}
 
 /// Plans and executes `queries` with every subplan cardinality answered
 /// by `service`; executor feedback streams true cardinalities back into
@@ -122,16 +154,7 @@ void RunServicePhase(const data::Dataset& ds,
   engine::PlanExecutor exec(&ds);
   exec.set_subplan_observer(service->MakeObserver());
   for (const auto& q : queries) {
-    Timer t;
-    auto plan = opt.Optimize(q, service);
-    if (!plan.ok()) continue;
-    auto result = exec.Execute(q, **plan);
-    (void)result;
-    totals->e2e_seconds += t.ElapsedSeconds();  // optimize + execute
-    double cost = TrueCostOf(ds, **plan, q);
-    totals->plan_cost += cost;
-    digest->Add((*plan)->ToString());
-    digest->Add(cost);
+    PlanAndExecute(ds, q, &opt, &exec, service, totals, digest);
   }
   fss::ServiceStats stats = service->stats();
   totals->knowledge = stats.knowledge_entries;
@@ -148,17 +171,11 @@ void RunHistogramPhase(const data::Dataset& ds,
   engine::JoinOrderOptimizer opt(&ds);
   engine::PlanExecutor exec(&ds);
   engine::PostgresStyleEstimator pg(&ds);
+  auto estimate = [&](const query::Query& sub) {
+    return pg.EstimateCardinality(sub);
+  };
   for (const auto& q : queries) {
-    Timer t;
-    auto plan = opt.Optimize(
-        q, [&](const query::Query& sub) { return pg.EstimateCardinality(sub); });
-    if (!plan.ok()) continue;
-    auto result = exec.Execute(q, **plan);
-    totals->e2e_seconds += t.ElapsedSeconds();
-    double cost = TrueCostOf(ds, **plan, q);
-    totals->plan_cost += cost;
-    digest->Add((*plan)->ToString());
-    digest->Add(cost);
+    PlanAndExecute(ds, q, &opt, &exec, estimate, totals, digest);
   }
 }
 
@@ -335,14 +352,19 @@ int Run() {
   double pg_e2e = methods[0].cold.e2e_seconds;
   std::printf("\n");
   PrintRow({"Method", "Cold.E2E", "Warm.E2E", "Cold.Cost", "Warm.Cost",
-            "Cost.vs.PG"},
+            "Cost.vs.PG", "Cold.Failed", "Warm.Failed"},
            16);
   for (const auto& m : methods) {
     PrintRow({m.name, Fmt(m.cold.e2e_seconds, 3) + "s",
               Fmt(m.warm.e2e_seconds, 3) + "s", Fmt(m.cold.plan_cost, 0),
               Fmt(m.warm.plan_cost, 0),
-              Fmt(m.warm.plan_cost / std::max(pg_cost, 1e-9), 3) + "x"},
+              Fmt(m.warm.plan_cost / std::max(pg_cost, 1e-9), 3) + "x",
+              std::to_string(m.cold.failed), std::to_string(m.warm.failed)},
              16);
+  }
+  uint64_t failed = 0;
+  for (const EvalResult* r : {&at1, &at8, &again}) {
+    for (const auto& m : r->methods) failed += m.cold.failed + m.warm.failed;
   }
   const MethodResult& advisor_m = methods.back();
   bool warm_le_cold =
@@ -372,6 +394,7 @@ int Run() {
       .AddDouble("histogram_plan_cost", pg_cost)
       .AddString("eval_digest", digest_hex)
       .AddBool("digests_identical_threads_1_8_repeat", identical)
+      .AddInt("failed_executions", static_cast<int64_t>(failed))
       .AddBool("advisor_warm_e2e_le_cold", warm_le_cold)
       .AddBool("advisor_beats_histogram_plan_cost", beats_pg_cost)
       .AddInt("advisor_knowledge_entries",
@@ -403,6 +426,12 @@ int Run() {
       CleanStore(dir);
       std::remove(dir.c_str());
     }
+  }
+  if (failed > 0) {
+    std::printf("FAILED: %llu executions did not return the true row count "
+                "(see the Failed columns)\n",
+                static_cast<unsigned long long>(failed));
+    return 1;
   }
   return 0;
 }

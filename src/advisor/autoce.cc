@@ -48,6 +48,14 @@ struct FitMetrics {
   }
 };
 
+/// The member indices of a neighbor list, in retrieval order.
+std::vector<size_t> MemberIndices(const std::vector<knn::Neighbor>& hits) {
+  std::vector<size_t> out;
+  out.reserve(hits.size());
+  for (const knn::Neighbor& nb : hits) out.push_back(nb.index);
+  return out;
+}
+
 }  // namespace
 
 AutoCe::AutoCe(AutoCeConfig config)
@@ -103,8 +111,6 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
     graphs_.push_back(graphs[i]);
     labels_.push_back(labels[i]);
   }
-  rcs_section_cache_.clear();
-  embed_digest_ = 0;  // corpus replaced: next refresh must be full
   if (fit_report_.samples_skipped > 0) {
     FitMetrics::Get().samples_skipped->Add(
         static_cast<int64_t>(fit_report_.samples_skipped));
@@ -130,10 +136,6 @@ Status AutoCe::Fit(const std::vector<featgraph::FeatureGraph>& graphs,
     for (size_t i = 0; i < concat.size(); ++i) {
       label_mean_[i] += concat[i] / static_cast<double>(labels_.size());
     }
-  }
-  dml_labels_.clear();
-  for (const auto& label : labels_) {
-    dml_labels_.push_back(BuildDmlLabel(label));
   }
 
   Rng init_rng = rng_.Fork(1);
@@ -184,7 +186,7 @@ Status AutoCe::RunCheckpointedFit() {
       for (size_t i = 0; i < n; ++i) {
         if (!is_val[i]) {
           fit_graphs.push_back(graphs_[i]);
-          fit_labels.push_back(dml_labels_[i]);
+          fit_labels.push_back(BuildDmlLabel(labels_[i]));
         }
       }
     }
@@ -248,23 +250,16 @@ double AutoCe::HoldOutDError(const std::vector<size_t>& val_idx) const {
   }
   double total = 0.0;
   int count = 0;
+  std::vector<double> mean;
   for (size_t i : val_idx) {
-    if (i >= graphs_.size() || !embedding_ok_[i]) continue;
-    auto hits = knn_index_.Query(embeddings_[i],
-                                 static_cast<size_t>(config_.knn_k),
-                                 /*exclude=*/SIZE_MAX, &allowed);
-    if (hits.empty()) continue;
+    if (i >= graphs_.size() || !knn_index_.usable(i)) continue;
+    std::vector<size_t> members = MemberIndices(
+        knn_index_.Query(knn_index_.Point(i),
+                         static_cast<size_t>(config_.knn_k),
+                         /*exclude=*/SIZE_MAX, &allowed));
+    if (members.empty()) continue;
     for (double w : config_.training_weights) {
-      std::vector<double> avg(ce::kNumModels, 0.0);
-      for (const knn::Neighbor& nb : hits) {
-        auto s = labels_[nb.index].ScoreVector(w);
-        for (size_t m = 0; m < avg.size(); ++m) avg[m] += s[m];
-      }
-      size_t best = 0;
-      for (size_t m = 1; m < avg.size(); ++m) {
-        if (avg[m] > avg[best]) best = m;
-      }
-      total += labels_[i].DError(static_cast<ce::ModelId>(best), w);
+      total += labels_[i].DError(ScoreMembers(members, w, &mean), w);
       ++count;
     }
   }
@@ -272,42 +267,25 @@ double AutoCe::HoldOutDError(const std::vector<size_t>& val_idx) const {
 }
 
 void AutoCe::RefreshEmbeddings() {
-  // Incremental path: when the encoder is unchanged since the last
-  // refresh and the corpus only grew (the online-adapt append path),
-  // the existing prefix is already correct — embed just the tail. Any
-  // weight change (digest mismatch) or corpus rebuild (embed_digest_
-  // reset to 0) recomputes everything.
-  uint64_t digest = EncoderDigest();
-  size_t keep = (digest == embed_digest_ && embed_digest_ != 0 &&
-                 embeddings_.size() <= graphs_.size())
-                    ? embeddings_.size()
-                    : 0;
   // Embedding is a read-only scan of the encoder; each graph embeds
   // into its own slot.
-  auto tail = util::ParallelMap(
-      keep, graphs_.size(), 1,
+  auto embeddings = util::ParallelMap(
+      0, graphs_.size(), 1,
       [&](size_t i) { return encoder_->Embed(graphs_[i]); });
-  embeddings_.resize(keep);
-  for (auto& e : tail) embeddings_.push_back(std::move(e));
-  embedding_ok_.assign(embeddings_.size(), 1);
-  for (size_t i = 0; i < embeddings_.size(); ++i) {
-    embedding_ok_[i] =
-        nn::IsFinite(std::span<const double>(embeddings_[i])) ? 1 : 0;
+  std::vector<char> usable(embeddings.size());
+  for (size_t i = 0; i < embeddings.size(); ++i) {
+    usable[i] = nn::IsFinite(std::span<const double>(embeddings[i])) ? 1 : 0;
   }
-  knn_index_ = knn::Index::Build(embeddings_, embedding_ok_);
-  embed_digest_ = digest;
+  knn_index_ = knn::Index::Build(embeddings, std::move(usable));
 }
 
 void AutoCe::RefreshDriftThreshold() {
   // 90th percentile of each member's nearest-neighbor distance.
   std::vector<double> nn_dist;
-  for (size_t i = 0; i < embeddings_.size(); ++i) {
-    if (!embedding_ok_[i]) continue;
-    auto nn = NearestNeighbors(embeddings_[i], 1, /*exclude=*/i);
-    if (!nn.empty()) {
-      nn_dist.push_back(
-          nn::EuclideanDistance(embeddings_[i], embeddings_[nn[0]]));
-    }
+  for (size_t i = 0; i < knn_index_.size(); ++i) {
+    if (!knn_index_.usable(i)) continue;
+    auto hits = knn_index_.Query(knn_index_.Point(i), 1, /*exclude=*/i);
+    if (!hits.empty()) nn_dist.push_back(hits[0].distance);
   }
   drift_threshold_ = stats::Percentile(nn_dist, config_.drift_percentile);
 }
@@ -319,15 +297,22 @@ std::vector<double> AutoCe::BuildDmlLabel(const DatasetLabel& label) const {
   return concat;
 }
 
-std::vector<size_t> AutoCe::NearestNeighbors(
-    const std::vector<double>& embedding, size_t k, size_t exclude) const {
-  // KNN retrieval (Eq. 13) through the shared index; unusable members
-  // and ties are handled by its (distance, index) ordering contract.
-  auto hits = knn_index_.Query(embedding, k, exclude);
-  std::vector<size_t> out;
-  out.reserve(hits.size());
-  for (const knn::Neighbor& nb : hits) out.push_back(nb.index);
-  return out;
+ce::ModelId AutoCe::ScoreMembers(const std::vector<size_t>& members,
+                                 double w_a,
+                                 std::vector<double>* mean) const {
+  mean->assign(ce::kNumModels, 0.0);
+  for (size_t j : members) {
+    auto s = labels_[j].ScoreVector(w_a);
+    for (size_t m = 0; m < mean->size(); ++m) (*mean)[m] += s[m];
+  }
+  for (double& v : *mean) {
+    v /= static_cast<double>(std::max<size_t>(1, members.size()));
+  }
+  size_t best = 0;
+  for (size_t m = 1; m < mean->size(); ++m) {
+    if ((*mean)[m] > (*mean)[best]) best = m;
+  }
+  return static_cast<ce::ModelId>(best);
 }
 
 Status AutoCe::RunIncrementalLearning() {
@@ -343,27 +328,19 @@ Status AutoCe::RunIncrementalLearning() {
   fold_rng.Shuffle(&order);
 
   std::vector<size_t> feedback, reference;
+  std::vector<double> mean;
   for (size_t i = 0; i < n; ++i) {
     size_t idx = order[i];
     // Validation fold of `idx` excludes its whole fold from the RCS; for
     // simplicity and per the spirit of Alg. 2 we exclude the sample
     // itself (leave-one-out within folds behaves identically at our
     // corpus sizes).
-    auto nn = NearestNeighbors(embeddings_[idx],
-                               static_cast<size_t>(config_.knn_k), idx);
+    std::vector<size_t> members = MemberIndices(knn_index_.Query(
+        knn_index_.Point(idx), static_cast<size_t>(config_.knn_k), idx));
     // Mean D-error across the supported weight combinations.
     double d_err = 0.0;
     for (double w : config_.training_weights) {
-      std::vector<double> avg(ce::kNumModels, 0.0);
-      for (size_t j : nn) {
-        auto s = labels_[j].ScoreVector(w);
-        for (size_t m = 0; m < avg.size(); ++m) avg[m] += s[m];
-      }
-      size_t best = 0;
-      for (size_t m = 1; m < avg.size(); ++m) {
-        if (avg[m] > avg[best]) best = m;
-      }
-      d_err += labels_[idx].DError(static_cast<ce::ModelId>(best), w);
+      d_err += labels_[idx].DError(ScoreMembers(members, w, &mean), w);
     }
     d_err /= static_cast<double>(config_.training_weights.size());
     (d_err > config_.d_error_threshold ? feedback : reference).push_back(idx);
@@ -372,7 +349,6 @@ Status AutoCe::RunIncrementalLearning() {
   if (feedback.empty() || reference.empty()) return Status::OK();
 
   std::vector<featgraph::FeatureGraph> new_graphs = graphs_;
-  std::vector<std::vector<double>> new_dml_labels = dml_labels_;
   std::vector<DatasetLabel> new_labels = labels_;
 
   if (config_.enable_augmentation) {
@@ -382,7 +358,8 @@ Status AutoCe::RunIncrementalLearning() {
       double best_d = 1e300;
       size_t best_j = reference[0];
       for (size_t j : reference) {
-        double d = nn::EuclideanDistance(embeddings_[idx], embeddings_[j]);
+        double d =
+            nn::EuclideanDistance(knn_index_.Point(idx), knn_index_.Point(j));
         if (d < best_d) {
           best_d = d;
           best_j = j;
@@ -395,8 +372,11 @@ Status AutoCe::RunIncrementalLearning() {
           DatasetLabel::Mixup(labels_[idx], labels_[best_j], lambda);
       new_graphs.push_back(std::move(mixed_graph));
       new_labels.push_back(mixed_label);
-      new_dml_labels.push_back(BuildDmlLabel(mixed_label));
     }
+  }
+  std::vector<std::vector<double>> new_dml_labels;
+  for (const DatasetLabel& label : new_labels) {
+    new_dml_labels.push_back(BuildDmlLabel(label));
   }
 
   // Incremental training on original + synthetic data.
@@ -411,8 +391,6 @@ Status AutoCe::RunIncrementalLearning() {
   // Synthetic samples also join the RCS (they carry valid labels).
   graphs_ = std::move(new_graphs);
   labels_ = std::move(new_labels);
-  dml_labels_ = std::move(new_dml_labels);
-  rcs_section_cache_.clear();
   RefreshEmbeddings();
   return Status::OK();
 }
@@ -437,27 +415,15 @@ AutoCe::Recommendation AutoCe::CorpusDefault(double w_a,
   Recommendation rec;
   rec.degraded = true;
   rec.degraded_reason = std::move(reason);
-  rec.score_vector.assign(ce::kNumModels, 0.0);
-  for (const auto& label : labels_) {
-    auto s = label.ScoreVector(w_a);
-    for (size_t m = 0; m < rec.score_vector.size(); ++m) {
-      rec.score_vector[m] += s[m];
-    }
-  }
-  for (double& v : rec.score_vector) {
-    v /= static_cast<double>(std::max<size_t>(1, labels_.size()));
-  }
-  size_t best = 0;
-  for (size_t m = 1; m < rec.score_vector.size(); ++m) {
-    if (rec.score_vector[m] > rec.score_vector[best]) best = m;
-  }
-  rec.model = static_cast<ce::ModelId>(best);
+  std::vector<size_t> all(labels_.size());
+  std::iota(all.begin(), all.end(), 0);
+  rec.model = ScoreMembers(all, w_a, &rec.score_vector);
   return rec;
 }
 
 Result<AutoCe::Recommendation> AutoCe::Recommend(
     const featgraph::FeatureGraph& graph, double w_a) const {
-  if (encoder_ == nullptr || embeddings_.empty()) {
+  if (encoder_ == nullptr || knn_index_.size() == 0) {
     return Status::FailedPrecondition("advisor is not fitted");
   }
   AUTOCE_RETURN_NOT_OK(
@@ -467,7 +433,7 @@ Result<AutoCe::Recommendation> AutoCe::Recommend(
 
 Result<AutoCe::Recommendation> AutoCe::RecommendFromEmbedding(
     std::span<const double> target, double w_a) const {
-  if (encoder_ == nullptr || embeddings_.empty()) {
+  if (encoder_ == nullptr || knn_index_.size() == 0) {
     return Status::FailedPrecondition("advisor is not fitted");
   }
   if (target.size() != encoder_->embedding_dim()) {
@@ -483,28 +449,13 @@ Result<AutoCe::Recommendation> AutoCe::RecommendFromEmbedding(
   if (!nn::IsFinite(std::span<const double>(embedding))) {
     return CorpusDefault(w_a, "non-finite target embedding");
   }
-  auto nn = NearestNeighbors(embedding, static_cast<size_t>(config_.knn_k));
-  if (nn.empty()) {
+  Recommendation rec;
+  rec.neighbors = MemberIndices(
+      knn_index_.Query(embedding, static_cast<size_t>(config_.knn_k)));
+  if (rec.neighbors.empty()) {
     return CorpusDefault(w_a, "no usable RCS embedding");
   }
-
-  Recommendation rec;
-  rec.neighbors = nn;
-  rec.score_vector.assign(ce::kNumModels, 0.0);
-  for (size_t j : nn) {
-    auto s = labels_[j].ScoreVector(w_a);
-    for (size_t m = 0; m < rec.score_vector.size(); ++m) {
-      rec.score_vector[m] += s[m];
-    }
-  }
-  for (double& v : rec.score_vector) {
-    v /= static_cast<double>(nn.size());
-  }
-  size_t best = 0;
-  for (size_t m = 1; m < rec.score_vector.size(); ++m) {
-    if (rec.score_vector[m] > rec.score_vector[best]) best = m;
-  }
-  rec.model = static_cast<ce::ModelId>(best);
+  rec.model = ScoreMembers(rec.neighbors, w_a, &rec.score_vector);
   return rec;
 }
 
@@ -515,16 +466,13 @@ Result<AutoCe::Recommendation> AutoCe::RecommendDataset(
 }
 
 double AutoCe::DistanceToRcs(const featgraph::FeatureGraph& graph) const {
-  AUTOCE_CHECK(encoder_ != nullptr && !embeddings_.empty());
-  auto embedding = encoder_->Embed(graph);
-  if (!nn::IsFinite(std::span<const double>(embedding))) {
-    // A dataset we cannot even embed is by definition out of
-    // distribution; infinity trips every drift threshold.
-    return std::numeric_limits<double>::infinity();
-  }
-  auto nn = NearestNeighbors(embedding, 1);
-  if (nn.empty()) return std::numeric_limits<double>::infinity();
-  return nn::EuclideanDistance(embedding, embeddings_[nn[0]]);
+  AUTOCE_CHECK(encoder_ != nullptr && knn_index_.size() > 0);
+  // A dataset we cannot even embed (non-finite embedding: no hits) is
+  // by definition out of distribution; infinity trips every drift
+  // threshold.
+  auto hits = knn_index_.Query(encoder_->Embed(graph), 1);
+  if (hits.empty()) return std::numeric_limits<double>::infinity();
+  return hits[0].distance;
 }
 
 bool AutoCe::IsOutOfDistribution(
@@ -556,22 +504,21 @@ Status AutoCe::AddLabeledSamples(
   for (size_t i = 0; i < graphs.size(); ++i) {
     graphs_.push_back(graphs[i]);
     labels_.push_back(labels[i]);
-    dml_labels_.push_back(BuildDmlLabel(labels[i]));
-    rcs_section_cache_.clear();
 
     if (config_.online_update_epochs > 0) {
       // Fine-tune with a few DML epochs over the updated corpus.
+      std::vector<std::vector<double>> dml_labels;
+      for (const DatasetLabel& label : labels_) {
+        dml_labels.push_back(BuildDmlLabel(label));
+      }
       gnn::DmlConfig cfg = config_.dml;
       cfg.epochs = config_.online_update_epochs;
       gnn::DmlTrainer tuner(encoder_.get(), cfg);
       Rng tune_rng = rng_.Fork(graphs_.size());
-      auto loss = tuner.Train(graphs_, dml_labels_, &tune_rng);
+      auto loss = tuner.Train(graphs_, dml_labels, &tune_rng);
       if (!loss.ok()) return loss.status();
     }
   }
-  // With fine-tuning disabled (online_update_epochs <= 0) the encoder
-  // is unchanged, so this refresh takes the incremental path and embeds
-  // only the appended samples.
   RefreshEmbeddings();
   RefreshDriftThreshold();
   // Online updates are durable too: each accepted batch commits a new
@@ -691,9 +638,6 @@ Status AutoCe::ReadRcs(BinaryReader* r) {
   if (label_mean_.size() !=
       config_.training_weights.size() * static_cast<size_t>(ce::kNumModels)) {
     return Status::DataLoss("centering vector size mismatch");
-  }
-  for (const auto& label : labels_) {
-    dml_labels_.push_back(BuildDmlLabel(label));
   }
   return Status::OK();
 }
@@ -894,12 +838,11 @@ std::vector<util::SnapshotSection> AutoCe::BuildSnapshotSections() const {
     w.WriteU64(config_.seed);
     sections.push_back({kSecConfig, w.buffer()});
   }
-  if (rcs_section_cache_.empty()) {
+  {
     BinaryWriter w;
     WriteRcs(&w);
-    rcs_section_cache_ = w.buffer();
+    sections.push_back({kSecRcs, w.buffer()});
   }
-  sections.push_back({kSecRcs, rcs_section_cache_});
   {
     BinaryWriter w;
     WriteEncoder(&w);
@@ -1057,16 +1000,6 @@ Result<AutoCe> AutoCe::ResumeFit(const std::string& dir,
   }
   if (generation_out != nullptr) *generation_out = generation;
   return advisor;
-}
-
-uint64_t AutoCe::EncoderDigest() const {
-  if (encoder_ == nullptr) return 0;
-  uint64_t h = util::kFnvOffsetBasis;
-  auto params = const_cast<gnn::GinEncoder*>(encoder_.get())->Params();
-  for (const nn::Matrix* p : params) h = DigestMatrix(*p, h);
-  // 0 is the "invalid" sentinel of embed_digest_; remap the (absurdly
-  // unlikely) collision so a real digest never reads as invalid.
-  return h == 0 ? 1 : h;
 }
 
 uint64_t AutoCe::ModelDigest() const {

@@ -136,15 +136,9 @@ class AutoCe {
   std::vector<std::vector<double>> EmbedBatch(
       const std::vector<const featgraph::FeatureGraph*>& graphs) const;
 
-  /// FNV-1a digest over the encoder parameters alone. Changes exactly
-  /// when the encoder weights change (training chunk, incremental
-  /// learning, online update, hot reload) — the serving layer keys its
-  /// embedding cache on it, and RefreshEmbeddings uses it to detect
-  /// that only appended RCS members need embedding.
-  uint64_t EncoderDigest() const;
-
   /// The KNN index over the RCS embeddings (rebuilt by every
-  /// RefreshEmbeddings). Exposed for the serving layer and benches.
+  /// RefreshEmbeddings) — the one copy of them; member i is RCS member
+  /// i. Exposed for the serving layer and benches.
   const knn::Index& rcs_index() const { return knn_index_; }
 
   /// The RCS labels, aligned with rcs_index() member indices.
@@ -274,10 +268,14 @@ class AutoCe {
   /// checkpointing signal of Fit.
   double HoldOutDError(const std::vector<size_t>& val_idx) const;
 
-  /// Recomputes RCS embeddings and rebuilds the KNN index. Incremental
-  /// when the encoder is unchanged since the last refresh (per
-  /// EncoderDigest) and members were only appended: only the new tail
-  /// is embedded. Any weight change forces a full recompute.
+  /// Eq. 13 over the RCS members `members`: their mean score vector at
+  /// `w_a` into `*mean` and its argmax model (the first model wins a
+  /// tie). An empty member list scores all-zero, picking model 0.
+  ce::ModelId ScoreMembers(const std::vector<size_t>& members, double w_a,
+                           std::vector<double>* mean) const;
+
+  /// Re-embeds every RCS member under the current encoder and rebuilds
+  /// the KNN index over the embeddings.
   void RefreshEmbeddings();
   void RefreshDriftThreshold();
   Status RunIncrementalLearning();
@@ -305,9 +303,6 @@ class AutoCe {
   std::vector<util::SnapshotSection> BuildSnapshotSections() const;
   static Result<AutoCe> FromSnapshotSections(
       const std::vector<util::SnapshotSection>& sections);
-  std::vector<size_t> NearestNeighbors(const std::vector<double>& embedding,
-                                       size_t k,
-                                       size_t exclude = SIZE_MAX) const;
 
   AutoCeConfig config_;
   featgraph::FeatureExtractor extractor_;
@@ -317,19 +312,11 @@ class AutoCe {
   // Recommendation candidate set.
   std::vector<featgraph::FeatureGraph> graphs_;
   std::vector<DatasetLabel> labels_;
-  std::vector<double> label_mean_;               // centering vector
-  std::vector<std::vector<double>> dml_labels_;  // centered concat scores
-  std::vector<std::vector<double>> embeddings_;
-  /// embedding_ok_[i] is false when embeddings_[i] has non-finite
-  /// entries; such members are skipped by every KNN retrieval (they
-  /// build into the index as unusable).
-  std::vector<char> embedding_ok_;
-  /// Exact KNN over embeddings_; every retrieval (Recommend, drift,
-  /// validation D-error) goes through it.
+  std::vector<double> label_mean_;  // centering vector
+  /// Exact KNN over the RCS embeddings, the only place they are kept.
+  /// Members with non-finite embeddings build in as unusable and are
+  /// skipped by every retrieval (Recommend, drift, validation D-error).
   knn::Index knn_index_;
-  /// EncoderDigest() at the last RefreshEmbeddings; 0 = embeddings are
-  /// invalid and the next refresh must be full.
-  uint64_t embed_digest_ = 0;
   double drift_threshold_ = 0.0;
   FitReport fit_report_;
 
@@ -338,10 +325,6 @@ class AutoCe {
   Rng train_rng_{0};                     // DML training stream
   std::vector<nn::Matrix> best_params_;  // best checkpointed encoder
   std::unique_ptr<util::SnapshotStore> store_;
-  /// Serialized RCS section, reused across checkpoints (the corpus only
-  /// changes between fits / online updates, not between training chunks,
-  /// and it is the largest section by far). Empty = rebuild.
-  mutable std::string rcs_section_cache_;
 };
 
 }  // namespace autoce::advisor

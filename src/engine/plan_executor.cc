@@ -8,6 +8,16 @@
 
 namespace autoce::engine {
 
+namespace {
+
+/// A scan whose estimated output is below this fraction of the table
+/// uses the sorted index path ("index scan"); otherwise it scans
+/// sequentially. Mirrors how injected cardinalities flip scan choices in
+/// PostgreSQL (paper Table V discussion).
+constexpr double kIndexScanSelectivity = 0.05;
+
+}  // namespace
+
 PlanExecutor::PlanExecutor(const data::Dataset* dataset, ExecOptions opts)
     : dataset_(dataset), opts_(opts) {}
 
@@ -40,8 +50,7 @@ PlanExecutor::Intermediate PlanExecutor::ExecuteScan(const query::Query& q,
   double rows = static_cast<double>(table.NumRows());
   bool use_index =
       !preds.empty() &&
-      node.estimated_cardinality <
-          opts_.index_scan_selectivity_threshold * rows;
+      node.estimated_cardinality < kIndexScanSelectivity * rows;
 
   if (use_index) {
     // Index scan: range-probe the first predicate's index, then verify

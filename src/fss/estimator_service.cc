@@ -31,7 +31,7 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Open(
   std::unique_ptr<EstimatorService> service(
       new EstimatorService(std::move(model), dataset, options));
   if (!store_dir.empty()) {
-    auto store = util::SnapshotStore::Open(store_dir, options.store_options);
+    auto store = util::SnapshotStore::Open(store_dir);
     if (!store.ok()) return store.status();
     service->store_ = std::move(store).ValueOrDie();
     // Warm-start from the newest good generation; a fresh directory is

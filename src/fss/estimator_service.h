@@ -31,8 +31,6 @@ inline constexpr const char* kKnowledgeSection = "fss_knowledge";
 struct EstimatorServiceOptions {
   /// Cached subplan estimates, evicted FIFO (0 disables the cache).
   std::size_t cache_capacity = 4096;
-  /// Snapshot store options for the persistent knowledge store.
-  util::SnapshotStoreOptions store_options;
   /// Knowledge-aging window: on `NotifyEpoch(e)` entries last observed
   /// before `e - max_age_epochs` are evicted. 0 disables aging.
   uint64_t max_age_epochs = 0;

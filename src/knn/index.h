@@ -17,11 +17,11 @@ struct Neighbor {
 /// \brief Deterministic exact K-nearest-neighbor index over embeddings.
 ///
 /// This is the one home of neighbor-selection semantics for the advisor
-/// (Stage 4 / Eq. 13), the validation D-error, and the serving layer:
+/// (Stage 4 / Eq. 13), the validation D-error, and the serving layer,
+/// and the advisor's only copy of its RCS embeddings:
 ///
 /// * Members flagged unusable at build time (non-finite embeddings) are
-///   never retrieved — the `embedding_ok_` skip rule that used to live
-///   separately in `AutoCe::Recommend` and `HoldOutDError`.
+///   never retrieved.
 /// * Neighbors are ordered by the pair `(distance, index)`, so ties
 ///   break on the smaller member index — the same deterministic order
 ///   the historical `partial_sort` over `(distance, index)` pairs

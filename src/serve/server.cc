@@ -14,7 +14,6 @@ AdvisorServer::AdvisorServer(advisor::AutoCe advisor, ServerConfig config)
     : config_(config),
       advisor_(std::make_shared<const advisor::AutoCe>(std::move(advisor))) {
   AUTOCE_CHECK(config_.max_batch >= 1);
-  cache_digest_ = advisor_->EncoderDigest();
 }
 
 Result<std::unique_ptr<AdvisorServer>> AdvisorServer::Open(
@@ -30,19 +29,6 @@ Result<std::unique_ptr<AdvisorServer>> AdvisorServer::Open(
   server->store_options_ = options;
   server->generation_ = generation;
   return server;
-}
-
-Status AdvisorServer::AttachStore(const std::string& dir,
-                                  util::SnapshotStoreOptions options) {
-  // Probe the store once so a bad directory fails here, not at the
-  // first Reload.
-  AUTOCE_ASSIGN_OR_RETURN(util::SnapshotStore store,
-                          util::SnapshotStore::Open(dir, options));
-  (void)store;
-  std::lock_guard<std::mutex> lock(mu_);
-  store_dir_ = dir;
-  store_options_ = options;
-  return Status::OK();
 }
 
 const AdvisorServer::CacheEntry* AdvisorServer::CacheLookup(uint64_t key) {
@@ -68,14 +54,6 @@ void AdvisorServer::CacheInsert(uint64_t key, std::vector<double> embedding) {
   cache_.emplace(key, CacheEntry{std::move(embedding), lru_.begin()});
 }
 
-void AdvisorServer::InvalidateCacheIfStale(const advisor::AutoCe& advisor) {
-  uint64_t digest = advisor.EncoderDigest();
-  if (digest == cache_digest_) return;
-  cache_.clear();
-  lru_.clear();
-  cache_digest_ = digest;
-}
-
 std::vector<RecommendResponse> AdvisorServer::Serve(
     const std::vector<RecommendRequest>& requests) {
   // The model is pinned for the whole burst: a concurrent Reload swaps
@@ -86,22 +64,19 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   static obs::Histogram* const request_ms =
       obs::MetricsRegistry::Instance().GetHistogram("serve.request_ms");
   Timer burst_timer;
-  // Deadlines are measured from burst start on the (injectable) clock;
-  // a request's effective deadline is its own override or the server
-  // default, 0 meaning "none".
+  // Deadlines are measured from burst start on the (injectable) clock,
+  // 0 meaning "none".
   const util::ClockFn& clock =
       config_.clock ? config_.clock : util::ClockFn(&util::SteadyClockSeconds);
   const double burst_start = clock();
-  auto deadline_of = [this](const RecommendRequest& request) {
-    return request.deadline_ms > 0.0 ? request.deadline_ms
-                                     : config_.request_deadline_ms;
-  };
+  const double deadline = config_.request_deadline_ms;
   std::shared_ptr<const advisor::AutoCe> advisor;
-  uint64_t generation = 0;
+  uint64_t generation = 0, install = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     advisor = advisor_;
     generation = generation_;
+    install = installs_;
     stats_.requests += requests.size();
   }
 
@@ -112,21 +87,24 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
   // request content, never on thread count.
   std::vector<size_t> admitted;
   admitted.reserve(std::min(requests.size(), config_.queue_capacity));
+  // Each request's fingerprint, computed once: the admission fault key
+  // and the embedding cache key.
+  std::vector<uint64_t> keys(requests.size());
   uint64_t shed = 0, deadline_shed = 0;
   const double admission_elapsed_ms = (clock() - burst_start) * 1000.0;
   for (size_t i = 0; i < requests.size(); ++i) {
     responses[i].id = requests[i].id;
     responses[i].model_generation = generation;
-    uint64_t key = featgraph::GraphFingerprint(requests[i].graph);
+    keys[i] = featgraph::GraphFingerprint(requests[i].graph);
     const char* shed_reason = nullptr;
     bool deadline_expired = false;
-    double deadline = deadline_of(requests[i]);
     if (admitted.size() >= config_.queue_capacity) {
       shed_reason = "admission queue overflow";
     } else if (deadline > 0.0 && admission_elapsed_ms >= deadline) {
       shed_reason = "request deadline expired at admission";
       deadline_expired = true;
-    } else if (util::FaultPoint(util::fault_sites::kServeAdmission, key)) {
+    } else if (util::FaultPoint(util::fault_sites::kServeAdmission,
+                                keys[i])) {
       shed_reason = "injected admission fault";
     }
     if (shed_reason != nullptr) {
@@ -158,10 +136,10 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     // burst's time, and an admitted request whose deadline has since
     // passed is shed instead of embedded — it would miss its deadline
     // anyway, and shedding it keeps its batch slot for live requests.
-    const double batch_elapsed_ms = (clock() - burst_start) * 1000.0;
+    const bool expired =
+        deadline > 0.0 && (clock() - burst_start) * 1000.0 >= deadline;
     struct Pending {
       size_t request;     // index into `requests`
-      uint64_t key;
       std::vector<double> embedding;
       bool from_cache = false;
     };
@@ -169,11 +147,12 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
     std::vector<size_t> misses;  // indices into `pending`
     {
       std::lock_guard<std::mutex> lock(mu_);
-      InvalidateCacheIfStale(*advisor);
+      // The cache holds the installed model's embeddings; a burst pinned
+      // to a model a Reload has since replaced bypasses it.
+      const bool use_cache = install == installs_;
       for (size_t j = b; j < end; ++j) {
         size_t i = admitted[j];
-        double deadline = deadline_of(requests[i]);
-        if (deadline > 0.0 && batch_elapsed_ms >= deadline) {
+        if (expired) {
           responses[i].shed = true;
           responses[i].recommendation = advisor->CorpusDefault(
               requests[i].w_a, "request deadline expired before batch");
@@ -191,8 +170,7 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
         }
         Pending p;
         p.request = i;
-        p.key = featgraph::GraphFingerprint(requests[i].graph);
-        if (const CacheEntry* hit = CacheLookup(p.key)) {
+        if (const CacheEntry* hit = use_cache ? CacheLookup(keys[i]) : nullptr) {
           p.embedding = hit->embedding;
           p.from_cache = true;
           ++stats_.cache_hits;
@@ -217,9 +195,13 @@ std::vector<RecommendResponse> AdvisorServer::Serve(
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.batches;
       stats_.embedded += misses.size();
+      // Re-checked: a Reload may have installed a new model while this
+      // batch embedded under the old one.
+      const bool use_cache = install == installs_;
       for (size_t k = 0; k < misses.size(); ++k) {
-        pending[misses[k]].embedding = embedded[k];
-        CacheInsert(pending[misses[k]].key, std::move(embedded[k]));
+        Pending& p = pending[misses[k]];
+        p.embedding = embedded[k];
+        if (use_cache) CacheInsert(keys[p.request], std::move(embedded[k]));
       }
     }
 
@@ -267,7 +249,7 @@ Status AdvisorServer::Reload() {
   }
   if (dir.empty()) {
     return fail(Status::FailedPrecondition(
-        "no snapshot store attached (Open or AttachStore first)"));
+        "no snapshot store to reload from (open the server with Open)"));
   }
   // Load outside the lock: requests keep being served from the current
   // generation while the new one deserializes.
@@ -287,10 +269,11 @@ Status AdvisorServer::Reload() {
   std::lock_guard<std::mutex> lock(mu_);
   advisor_ = std::move(fresh);
   generation_ = generation;
+  ++installs_;
+  // The cached embeddings belong to the replaced model.
+  cache_.clear();
+  lru_.clear();
   ++stats_.reloads;
-  // The embedding cache invalidates lazily on the next Serve through
-  // the encoder digest; an identical re-committed encoder keeps its
-  // cache.
   return Status::OK();
 }
 

@@ -27,13 +27,12 @@ struct ServerConfig {
   size_t queue_capacity = 64;
   /// Entries held by the fingerprint-keyed LRU embedding cache.
   size_t cache_capacity = 128;
-  /// Default per-request deadline in ms (0 = none), measured from the
-  /// start of the request's Serve burst. A request whose deadline has
-  /// already passed when its turn comes (at admission, or when its
-  /// batch starts after earlier batches consumed the time) is shed to
-  /// the degraded corpus default instead of embedded — late answers
-  /// are worthless to a query optimizer waiting on a plan. Overridden
-  /// per request by `RecommendRequest::deadline_ms`.
+  /// Per-request deadline in ms (0 = none), measured from the start of
+  /// the request's Serve burst. A request whose deadline has already
+  /// passed when its turn comes (at admission, or when its batch starts
+  /// after earlier batches consumed the time) is shed to the degraded
+  /// corpus default instead of embedded — late answers are worthless
+  /// to a query optimizer waiting on a plan.
   double request_deadline_ms = 0.0;
   /// Monotonic seconds source for deadline checks (steady clock when
   /// null). Deadline shedding under the real clock is load-dependent —
@@ -48,8 +47,6 @@ struct RecommendRequest {
   uint64_t id = 0;
   featgraph::FeatureGraph graph;
   double w_a = 0.5;
-  /// Per-request deadline in ms (0 = use the server default).
-  double deadline_ms = 0.0;
 };
 
 /// The server's answer to one request.
@@ -122,12 +119,13 @@ inline std::vector<obs::StatsField> ExportedFields(const ServerStats& s) {
 /// batches keep the model they started with, and a failed reload
 /// (corrupt snapshot, injected `serve.reload` fault, or a crash at the
 /// `serve.reload` kill point) leaves the previous generation serving.
-/// The embedding cache invalidates itself through the advisor's
-/// encoder-parameter digest, the same signal the advisor's incremental
-/// RefreshEmbeddings keys on.
+/// The embedding cache belongs to the installed model: it empties when
+/// `Reload` installs a new one, and a burst still pinned to an older
+/// model neither reads nor fills it.
 class AdvisorServer {
  public:
-  /// Wraps a fitted advisor. `Reload` requires AttachStore afterwards.
+  /// Wraps a fitted advisor. `Reload` needs a store, so it fails on a
+  /// server built this way; use Open to serve a snapshot store.
   explicit AdvisorServer(advisor::AutoCe advisor, ServerConfig config = {});
 
   AdvisorServer(const AdvisorServer&) = delete;
@@ -140,11 +138,6 @@ class AdvisorServer {
       const std::string& dir, ServerConfig config = {},
       util::SnapshotStoreOptions options = {});
 
-  /// Attaches the snapshot store at `dir` so Reload can pull newer
-  /// generations.
-  Status AttachStore(const std::string& dir,
-                     util::SnapshotStoreOptions options = {});
-
   /// Serves a burst of requests: admission in arrival order, batched
   /// embedding, indexed KNN. Responses are returned in request order.
   std::vector<RecommendResponse> Serve(
@@ -153,8 +146,8 @@ class AdvisorServer {
   /// Convenience single-request entry point.
   RecommendResponse ServeOne(const RecommendRequest& request);
 
-  /// Hot-reloads the newest good snapshot generation from the attached
-  /// store. On any failure the previous model keeps serving and the
+  /// Hot-reloads the newest good snapshot generation from the store the
+  /// server was opened on. On any failure the previous model keeps serving and the
   /// error is returned.
   Status Reload();
 
@@ -179,9 +172,6 @@ class AdvisorServer {
   /// Inserts `key`, evicting the least recent entry when over capacity.
   /// Caller holds mu_.
   void CacheInsert(uint64_t key, std::vector<double> embedding);
-  /// Drops every cache entry when the encoder digest moved (reload or
-  /// online update). Caller holds mu_.
-  void InvalidateCacheIfStale(const advisor::AutoCe& advisor);
 
   ServerConfig config_;
   std::string store_dir_;
@@ -190,7 +180,11 @@ class AdvisorServer {
   mutable std::mutex mu_;
   std::shared_ptr<const advisor::AutoCe> advisor_;  // guarded by mu_
   uint64_t generation_ = 0;                         // guarded by mu_
-  uint64_t cache_digest_ = 0;                       // guarded by mu_
+  /// Bumped by every install of advisor_; the cache holds embeddings of
+  /// install number `installs_` only. Not the advisor pointer (a freed
+  /// address can be reused) nor the generation (a rebuilt store
+  /// restarts its numbering).
+  uint64_t installs_ = 0;                           // guarded by mu_
   std::unordered_map<uint64_t, CacheEntry> cache_;  // guarded by mu_
   std::list<uint64_t> lru_;  // most recent at front; guarded by mu_
   ServerStats stats_;        // guarded by mu_

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "advisor/baselines.h"
 #include "data/generator.h"
+#include "nn/matrix.h"
 
 namespace autoce::advisor {
 namespace {
@@ -165,6 +170,31 @@ TEST_F(AdvisorTest, DriftDetection) {
     if (!advisor.IsOutOfDistribution(g)) ++in_dist;
   }
   EXPECT_GT(in_dist, static_cast<int>(train_->size() * 0.8));
+}
+
+TEST_F(AdvisorTest, DistanceToRcsIsNearestIndexNeighborDistance) {
+  // The drift distance is the KNN index's own nearest-neighbor distance,
+  // bit for bit, and equals a brute-force scan over the index members.
+  AutoCeConfig cfg = FastConfig();
+  cfg.enable_incremental = false;
+  AutoCe advisor(cfg);
+  ASSERT_TRUE(advisor.Fit(train_->graphs, train_->labels).ok());
+  const knn::Index& index = advisor.rcs_index();
+  ASSERT_EQ(index.size(), advisor.RcsSize());
+  for (const auto& g : test_->graphs) {
+    std::vector<double> embedding = advisor.Embed(g);
+    auto hits = index.Query(embedding, 1);
+    ASSERT_EQ(hits.size(), 1u);
+    double brute = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < index.size(); ++i) {
+      if (index.usable(i)) {
+        brute = std::min(brute, nn::EuclideanDistance(embedding, index.Point(i)));
+      }
+    }
+    double distance = advisor.DistanceToRcs(g);
+    EXPECT_EQ(std::memcmp(&distance, &hits[0].distance, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&distance, &brute, sizeof(double)), 0);
+  }
 }
 
 TEST_F(AdvisorTest, OnlineAddSampleGrowsRcs) {

@@ -3,8 +3,8 @@
 // Recommend calls at any thread count, batch composition, and arrival
 // order; overload sheds to the degraded corpus default instead of
 // blocking; hot reload advances the model generation without dropping
-// requests; and the online-adapt append path refreshes embeddings
-// incrementally.
+// requests and empties the embedding cache; and an online append
+// without fine-tuning keeps the prefix embeddings.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -310,11 +311,9 @@ TEST_F(ServerTest, ExpiredDeadlineShedsAtAdmission) {
 
   auto requests = AllRequests();
   requests.resize(3);
-  // A per-request override can opt out of the tight server default.
-  requests[2].deadline_ms = 1000.0;
   auto responses = server.Serve(requests);
   ASSERT_EQ(responses.size(), 3u);
-  for (size_t i = 0; i < 2; ++i) {
+  for (size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(responses[i].status.ok());
     EXPECT_TRUE(responses[i].shed) << i;
     EXPECT_TRUE(responses[i].recommendation.degraded) << i;
@@ -322,12 +321,19 @@ TEST_F(ServerTest, ExpiredDeadlineShedsAtAdmission) {
               "request deadline expired at admission")
         << i;
   }
-  EXPECT_FALSE(responses[2].shed);
-  EXPECT_FALSE(responses[2].recommendation.degraded);
-
   ServerStats stats = server.stats();
-  EXPECT_EQ(stats.shed, 2u);
-  EXPECT_EQ(stats.deadline_shed, 2u);
+  EXPECT_EQ(stats.shed, 3u);
+  EXPECT_EQ(stats.deadline_shed, 3u);
+
+  // A looser deadline on the same clock admits and serves the burst.
+  cfg.request_deadline_ms = 1000.0;
+  AdvisorServer loose(LoadAdvisor(), cfg);
+  for (const RecommendResponse& r : loose.Serve(requests)) {
+    EXPECT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.shed);
+    EXPECT_FALSE(r.recommendation.degraded);
+  }
+  EXPECT_EQ(loose.stats().deadline_shed, 0u);
 }
 
 TEST_F(ServerTest, DeadlineExpiringMidBurstShedsLaterBatches) {
@@ -425,6 +431,14 @@ TEST_F(ServerTest, ReloadAdvancesGenerationAndServesNewModel) {
   uint64_t gen_before = (*server)->generation();
   EXPECT_GT(gen_before, 0u);
 
+  // Warm the cache under the old model.
+  RecommendRequest request;
+  request.id = 1;
+  request.graph = (*graphs_)[10];
+  request.w_a = 0.7;
+  ASSERT_TRUE((*server)->ServeOne(request).status.ok());
+  EXPECT_TRUE((*server)->ServeOne(request).from_cache);
+
   // The training job commits a new generation through an online update;
   // the server keeps serving the old one until Reload.
   ASSERT_TRUE(
@@ -439,13 +453,11 @@ TEST_F(ServerTest, ReloadAdvancesGenerationAndServesNewModel) {
   EXPECT_TRUE((*server)->stats().last_reload_error.empty());
   EXPECT_EQ((*server)->advisor()->ModelDigest(), advisor.ModelDigest());
 
-  // Responses now match the updated advisor bit-for-bit.
-  RecommendRequest request;
-  request.id = 1;
-  request.graph = (*graphs_)[10];
-  request.w_a = 0.7;
+  // Responses now match the updated advisor bit-for-bit, and the
+  // repeated request is embedded afresh: the reload emptied the cache.
   RecommendResponse response = (*server)->ServeOne(request);
   ASSERT_TRUE(response.status.ok());
+  EXPECT_FALSE(response.from_cache);
   EXPECT_EQ(response.model_generation, (*server)->generation());
   auto direct = advisor.Recommend(request.graph, request.w_a);
   ASSERT_TRUE(direct.ok());
@@ -455,6 +467,92 @@ TEST_F(ServerTest, ReloadAdvancesGenerationAndServesNewModel) {
     EXPECT_TRUE(SameBits(response.recommendation.score_vector[s],
                          direct->score_vector[s]));
   }
+
+  // A fresh server opened on the new generation answers the same.
+  auto fresh = AdvisorServer::Open(dir);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  RecommendResponse fresh_response = (*fresh)->ServeOne(request);
+  EXPECT_EQ(fresh_response.model_generation, response.model_generation);
+  ExpectSameResponse(response, fresh_response);
+}
+
+TEST_F(ServerTest, ReloadRacingAPinnedBurstNeverServesOldEmbeddings) {
+  std::string dir = TempStoreDir("serve_reload_race");
+  advisor::AutoCe advisor(TinyConfig());
+  ASSERT_TRUE(advisor.EnableSnapshots(dir).ok());
+  std::vector<featgraph::FeatureGraph> train(graphs_->begin(),
+                                             graphs_->begin() + 9);
+  std::vector<advisor::DatasetLabel> train_labels(labels_->begin(),
+                                                  labels_->begin() + 9);
+  ASSERT_TRUE(advisor.Fit(train, train_labels).ok());
+  auto requests = AllRequests();
+
+  // Serves `requests` on a fresh server over the newest generation.
+  auto fresh_responses = [&] {
+    auto fresh = AdvisorServer::Open(dir);
+    AUTOCE_CHECK(fresh.ok());
+    return (*fresh)->Serve(requests);
+  };
+  auto expect_fresh = [&](const std::vector<RecommendResponse>& got) {
+    auto want = fresh_responses();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].model_generation, want[i].model_generation);
+      ExpectSameResponse(got[i], want[i]);
+    }
+  };
+
+  // Deterministic interleaving: the clock hook (called without the
+  // server lock) reloads after the first of twelve one-request batches
+  // has cached an old-model embedding. The rest of the pinned burst
+  // must neither read nor fill the new model's cache.
+  {
+    ServerConfig cfg;
+    cfg.max_batch = 1;
+    // A deadline that never expires on the frozen clock, so Serve looks
+    // at the clock at burst start, admission and every batch start.
+    cfg.request_deadline_ms = 1000.0;
+    AdvisorServer* target = nullptr;
+    int looks = 0;
+    cfg.clock = [&] {
+      // Looks: burst start, admission, batch 0, batch 1 (reload here).
+      if (++looks == 4) AUTOCE_CHECK(target->Reload().ok());
+      return 0.0;
+    };
+    auto opened = AdvisorServer::Open(dir, cfg);
+    ASSERT_TRUE(opened.ok());
+    target = opened->get();
+    uint64_t old_generation = target->generation();
+    ASSERT_TRUE(
+        advisor.AddLabeledSample((*graphs_)[9], (*labels_)[9]).ok());
+
+    auto pinned = target->Serve(requests);
+    for (const RecommendResponse& r : pinned) {
+      EXPECT_EQ(r.model_generation, old_generation);
+    }
+    ASSERT_GT(target->generation(), old_generation);
+    auto after = target->Serve(requests);
+    for (const RecommendResponse& r : after) {
+      EXPECT_FALSE(r.from_cache) << "request " << r.id;
+    }
+    expect_fresh(after);
+  }
+
+  // Free-running race: one thread serves bursts while another reloads;
+  // whatever the interleaving, later bursts answer like a fresh server.
+  auto opened = AdvisorServer::Open(dir);
+  ASSERT_TRUE(opened.ok());
+  AdvisorServer& server = **opened;
+  ASSERT_TRUE(
+      advisor.AddLabeledSample((*graphs_)[10], (*labels_)[10]).ok());
+  std::thread serving([&] {
+    for (int burst = 0; burst < 8; ++burst) server.Serve(requests);
+  });
+  std::thread reloading([&] { AUTOCE_CHECK(server.Reload().ok()); });
+  serving.join();
+  reloading.join();
+  expect_fresh(server.Serve(requests));
+  expect_fresh(server.Serve(requests));
 }
 
 TEST_F(ServerTest, ReloadWithoutStoreFailsAndKeepsServing) {
@@ -602,10 +700,10 @@ TEST_F(ServerTest, TwoServersExportSeparateInstanceSeries) {
       << text;
 }
 
-TEST_F(ServerTest, OnlineAppendRefreshesEmbeddingsIncrementally) {
+TEST_F(ServerTest, OnlineAppendWithoutFineTuneKeepsPrefixEmbeddings) {
   // online_update_epochs = 0: AddLabeledSample appends to the RCS
-  // without touching the encoder, so RefreshEmbeddings only embeds the
-  // appended tail and the prefix embeddings are reused byte-for-byte.
+  // without touching the encoder, so re-embedding the RCS reproduces
+  // the prefix embeddings byte-for-byte and adds the new member's.
   advisor::AutoCeConfig cfg = TinyConfig();
   cfg.online_update_epochs = 0;
   advisor::AutoCe advisor(cfg);
@@ -619,11 +717,9 @@ TEST_F(ServerTest, OnlineAppendRefreshesEmbeddingsIncrementally) {
   for (size_t i = 0; i < index.size(); ++i) {
     before.emplace_back(index.Point(i).begin(), index.Point(i).end());
   }
-  uint64_t digest_before = advisor.EncoderDigest();
 
   ASSERT_TRUE(
       advisor.AddLabeledSample((*graphs_)[9], (*labels_)[9]).ok());
-  EXPECT_EQ(advisor.EncoderDigest(), digest_before);
   const knn::Index& after = advisor.rcs_index();
   ASSERT_EQ(after.size(), before.size() + 1);
   for (size_t i = 0; i < before.size(); ++i) {
