@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/logging.h"
+#include "data/distinct.h"
 
 namespace autoce::data {
 
 int64_t Column::CountDistinct() const {
-  std::unordered_set<int32_t> s(values.begin(), values.end());
-  return static_cast<int64_t>(s.size());
+  return DistinctValues(values).count();
 }
 
 int32_t Column::MinValue() const {
@@ -115,15 +114,12 @@ double Dataset::JoinCorrelation(const ForeignKey& fk) const {
   const Column& pk_col =
       tables_[static_cast<size_t>(fk.pk_table)]
           .columns[static_cast<size_t>(fk.pk_column)];
-  std::unordered_set<int32_t> fk_set(fk_col.values.begin(),
-                                     fk_col.values.end());
-  std::unordered_set<int32_t> pk_set(pk_col.values.begin(),
-                                     pk_col.values.end());
-  if (pk_set.empty()) return 0.0;
+  DistinctValues pk(pk_col.values);
+  const int64_t pk_distinct = pk.count();
+  if (pk_distinct == 0) return 0.0;
   // Count FK-distinct values that actually reference a PK value.
-  int64_t hits = 0;
-  for (int32_t v : fk_set) hits += pk_set.count(v);
-  return static_cast<double>(hits) / static_cast<double>(pk_set.size());
+  const int64_t hits = pk.Erase(fk_col.values);
+  return static_cast<double>(hits) / static_cast<double>(pk_distinct);
 }
 
 Status Dataset::Validate() const {
@@ -131,8 +127,10 @@ Status Dataset::Validate() const {
     if (t.columns.empty()) {
       return Status::FailedPrecondition("table " + t.name + " has no columns");
     }
-    size_t rows = t.columns[0].values.size();
-    for (const auto& c : t.columns) {
+    const size_t rows = t.columns[0].values.size();
+    bool pk_unique = true;
+    for (size_t i = 0; i < t.columns.size(); ++i) {
+      const Column& c = t.columns[i];
       if (c.values.size() != rows) {
         return Status::FailedPrecondition("ragged columns in table " + t.name);
       }
@@ -140,21 +138,33 @@ Status Dataset::Validate() const {
         return Status::FailedPrecondition("column " + c.name +
                                           " has non-positive domain");
       }
-      for (int32_t v : c.values) {
-        if (v < 1 || v > c.domain_size) {
-          return Status::FailedPrecondition("column " + c.name +
-                                            " value out of domain");
+      bool in_domain = true;
+      if (static_cast<int>(i) == t.primary_key) {
+        // One pass checks the domain and marks the keys; a duplicate is
+        // reported only after every column has passed its own checks.
+        DistinctValues keys(c.values, 1, c.domain_size);
+        in_domain = keys.out_of_range() == 0;
+        pk_unique = keys.count() == static_cast<int64_t>(rows);
+      } else {
+        // v in [1, domain_size] <=> (uint32)(v - 1) < domain_size.
+        const uint32_t domain = static_cast<uint32_t>(c.domain_size);
+        for (int32_t v : c.values) {
+          if (static_cast<uint32_t>(v) - 1u >= domain) {
+            in_domain = false;
+            break;
+          }
         }
       }
+      if (!in_domain) {
+        return Status::FailedPrecondition("column " + c.name +
+                                          " value out of domain");
+      }
     }
-    if (t.primary_key >= 0) {
-      if (t.primary_key >= t.NumColumns()) {
-        return Status::FailedPrecondition("PK index out of range in " + t.name);
-      }
-      const Column& pk = t.columns[static_cast<size_t>(t.primary_key)];
-      if (pk.CountDistinct() != t.NumRows()) {
-        return Status::FailedPrecondition("PK of " + t.name + " not unique");
-      }
+    if (t.primary_key >= t.NumColumns()) {
+      return Status::FailedPrecondition("PK index out of range in " + t.name);
+    }
+    if (!pk_unique) {
+      return Status::FailedPrecondition("PK of " + t.name + " not unique");
     }
   }
   for (const auto& fk : fks_) {

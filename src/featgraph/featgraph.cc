@@ -46,42 +46,39 @@ FeatureGraph FeatureExtractor::Extract(const data::Dataset& dataset) const {
     int cols = std::min(table.NumColumns(), m);
 
     // Per-column statistics (k features each).
-    std::vector<std::vector<double>> numeric(static_cast<size_t>(cols));
     for (int c = 0; c < cols; ++c) {
       const data::Column& col = table.columns[static_cast<size_t>(c)];
-      numeric[static_cast<size_t>(c)].assign(col.values.begin(),
-                                             col.values.end());
-      const auto& v = numeric[static_cast<size_t>(c)];
+      const stats::Moments mo = stats::ComputeMoments(col.values);
       double domain = static_cast<double>(std::max<int32_t>(1, col.domain_size));
-      double range =
-          static_cast<double>(col.MaxValue() - col.MinValue() + 1);
+      double range = mo.max - mo.min + 1.0;
       size_t base = static_cast<size_t>(c * k);
       graph.vertices(static_cast<size_t>(t), base + 0) =
-          SquashSymmetric(stats::Skewness(v), 10.0);
+          SquashSymmetric(mo.skewness, 10.0);
       graph.vertices(static_cast<size_t>(t), base + 1) =
-          SquashSymmetric(stats::Kurtosis(v), 20.0);
+          SquashSymmetric(mo.kurtosis, 20.0);
       graph.vertices(static_cast<size_t>(t), base + 2) =
           SquashLog10(domain, 6.0);
       graph.vertices(static_cast<size_t>(t), base + 3) =
           SquashLog10(range, 6.0);
       graph.vertices(static_cast<size_t>(t), base + 4) =
-          std::clamp(stats::StdDev(v) / domain, 0.0, 1.0);
+          std::clamp(mo.stddev / domain, 0.0, 1.0);
       graph.vertices(static_cast<size_t>(t), base + 5) =
-          std::clamp(stats::Mean(v) / domain, 0.0, 1.0);
+          std::clamp(mo.mean / domain, 0.0, 1.0);
     }
 
-    // Pairwise positional correlations (m x m block; inverse of F2).
+    // Pairwise positional correlations (m x m block; inverse of F2). The
+    // ratio is symmetric: compute the upper triangle and mirror it.
     size_t corr_base = static_cast<size_t>(k * m);
+    auto corr = [&](int a, int b) -> double& {
+      return graph.vertices(static_cast<size_t>(t),
+                            corr_base + static_cast<size_t>(a * m + b));
+    };
     for (int a = 0; a < cols; ++a) {
-      for (int b = 0; b < cols; ++b) {
-        double corr =
-            (a == b)
-                ? 1.0
-                : stats::PositionalMatchRatio(
-                      table.columns[static_cast<size_t>(a)].values,
-                      table.columns[static_cast<size_t>(b)].values);
-        graph.vertices(static_cast<size_t>(t),
-                       corr_base + static_cast<size_t>(a * m + b)) = corr;
+      corr(a, a) = 1.0;
+      for (int b = a + 1; b < cols; ++b) {
+        corr(a, b) = corr(b, a) = stats::PositionalMatchRatio(
+            table.columns[static_cast<size_t>(a)].values,
+            table.columns[static_cast<size_t>(b)].values);
       }
     }
 

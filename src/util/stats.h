@@ -25,6 +25,24 @@ double Skewness(const std::vector<double>& v);
 /// Excess kurtosis g2; 0 when undefined.
 double Kurtosis(const std::vector<double>& v);
 
+/// \brief Mean, population SD, skewness, excess kurtosis, min and max.
+struct Moments {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double skewness = 0.0;
+  double kurtosis = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// All of `Moments` in three passes: the sum with min and max, the
+/// squared deviations, then the cube and fourth-power sums. The first
+/// four fields equal Mean, StdDev, Skewness and Kurtosis of the same
+/// values as doubles, bit for bit (same per-element expressions, same
+/// order, same guards). Min and max are 0 for empty input.
+Moments ComputeMoments(const std::vector<int32_t>& v);
+Moments ComputeMoments(const std::vector<double>& v);
+
 /// Pearson correlation coefficient; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);

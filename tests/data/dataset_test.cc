@@ -126,6 +126,50 @@ TEST(DatasetValidateTest, DetectsValueOutOfDomain) {
   EXPECT_FALSE(ds.Validate().ok());
 }
 
+TEST(DatasetValidateTest, FirstErrorOfEachTableKeepsItsOrder) {
+  // Column checks run in column order (length, then domain size, then
+  // values); a duplicate PK is reported only after every column of its
+  // table passed, even though the PK values are checked in the same
+  // pass as their domain.
+  auto validate = [](std::vector<Table> tables) {
+    Dataset ds;
+    for (Table& t : tables) ds.AddTable(std::move(t));
+    return ds.Validate().message();
+  };
+  Table out_then_ragged =
+      MakeTable("a", {{"x", {1, 2, 3}}, {"y", {1, 9, 2}}, {"z", {1, 2}}});
+  out_then_ragged.columns[1].domain_size = 3;
+  Table ragged_then_out =
+      MakeTable("a", {{"x", {1, 2, 3}}, {"z", {1, 2}}, {"y", {1, 9, 2}}});
+  ragged_then_out.columns[2].domain_size = 3;
+  // b: the PK (column 1) holds a duplicate; column 0 is out of domain.
+  Table dup_after_out = MakeTable("b", {{"v", {1, 7, 2}}, {"id", {1, 1, 2}}}, 1);
+  dup_after_out.columns[0].domain_size = 2;
+  // c: the PK (column 0) holds a duplicate; a later column is out of
+  // domain, and so is a value after the duplicate in the PK itself.
+  Table dup_then_later_out =
+      MakeTable("c", {{"id", {2, 2, 1}}, {"w", {1, 5, 1}}}, 0);
+  dup_then_later_out.columns[1].domain_size = 4;
+  Table dup_then_own_out = MakeTable("d", {{"id", {1, 1, 3}}}, 0);
+  dup_then_own_out.columns[0].domain_size = 2;
+  Table dup_only = MakeTable("e", {{"x", {4, 4, 4}}, {"id", {3, 1, 3}}}, 1);
+
+  EXPECT_EQ(validate({out_then_ragged, dup_after_out}),
+            "column y value out of domain");
+  EXPECT_EQ(validate({ragged_then_out, dup_after_out}),
+            "ragged columns in table a");
+  EXPECT_EQ(validate({dup_after_out, out_then_ragged}),
+            "column v value out of domain");
+  EXPECT_EQ(validate({dup_then_later_out}), "column w value out of domain");
+  EXPECT_EQ(validate({dup_then_own_out}), "column id value out of domain");
+  EXPECT_EQ(validate({dup_only, out_then_ragged}), "PK of e not unique");
+  Table bad_pk_index = MakeTable("f", {{"x", {1, 1}}, {"y", {1, 7}}}, 2);
+  bad_pk_index.columns[1].domain_size = 3;
+  EXPECT_EQ(validate({bad_pk_index}), "column y value out of domain");
+  bad_pk_index.columns[1].domain_size = 7;
+  EXPECT_EQ(validate({bad_pk_index}), "PK index out of range in f");
+}
+
 TEST(DatasetValidateTest, FkMustTargetPkColumn) {
   Dataset ds;
   ds.AddTable(MakeTable("p", {{"id", {1, 2}}, {"x", {3, 4}}}, 0));

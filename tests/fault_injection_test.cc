@@ -140,7 +140,9 @@ void ExerciseCsvRow() {
   auto partial = data::LoadCsvTable(path, skip, &report);
   EXPECT_EQ(report.rows_loaded + report.rows_skipped, 10);
   EXPECT_EQ(report.errors_total, report.rows_skipped);
-  if (partial.ok()) EXPECT_EQ(partial->NumRows(), report.rows_loaded);
+  if (partial.ok()) {
+    EXPECT_EQ(partial->NumRows(), report.rows_loaded);
+  }
   int64_t first_loaded = report.rows_loaded;
   ASSERT_TRUE(reg.Configure(std::string(sites::kCsvRow) + ":0.5", 11).ok());
   auto again = data::LoadCsvTable(path, skip, &report);
@@ -219,7 +221,9 @@ void ExerciseDmlSite(const char* site) {
   Rng rng2(9);
   auto partial = trainer.Train(graphs, dml_labels, &rng2);
   EXPECT_EQ(trainer.last_skipped_batches(), reg.FireCount(site));
-  if (partial.ok()) EXPECT_TRUE(std::isfinite(*partial));
+  if (partial.ok()) {
+    EXPECT_TRUE(std::isfinite(*partial));
+  }
   for (const nn::Matrix* p : encoder.Params()) EXPECT_TRUE(nn::IsFinite(*p));
 }
 
