@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "engine/executor.h"
 #include "engine/join_sampler.h"
@@ -130,7 +131,6 @@ double AutoregressiveModel::EstimateSelectivity(
     const std::vector<int32_t>& lo, const std::vector<int32_t>& hi,
     const std::vector<char>& constrained, int num_samples, Rng* rng) const {
   if (columns_.empty()) return 1.0;
-  size_t d = static_cast<size_t>(params_.embedding_dim);
   // Progressive sampling can stop after the last constrained column: the
   // remaining conditionals marginalize to 1.
   size_t last = 0;
@@ -143,56 +143,130 @@ double AutoregressiveModel::EstimateSelectivity(
   }
   if (!any) return 1.0;
 
+  // Coverage is sample-independent. A constrained column that covers no
+  // bin stops every sample before it draws there, so it caps the number
+  // of draws a sample makes (the budget).
+  std::vector<std::vector<double>> coverage(last + 1);
+  size_t budget = last + 1;
+  for (size_t c = 0; c <= last; ++c) {
+    if (!constrained[c]) continue;
+    bool covers = false;
+    for (int b = 0; b < columns_[c].num_bins; ++b) {
+      coverage[c].push_back(BinCoverage(c, b, lo[c], hi[c]));
+      covers = covers || coverage[c].back() != 0.0;
+    }
+    if (!covers && budget > last) budget = c;
+  }
+
+  // Samples draw Uniform() in sample-major order. Each batch pre-draws a
+  // full budget per sample (plus room for the last sample to overrun it)
+  // and keeps the samples up to the first one that drew a different
+  // number; the stream is then rewound to just past the true draws and
+  // the rest re-run, so the estimate and the generator's final state
+  // equal those of one-sample-at-a-time sampling.
+  const size_t n = static_cast<size_t>(std::max(num_samples, 0));
+  std::vector<double> weights;
+  weights.reserve(n);
+  std::vector<double> uniforms;
+  while (weights.size() < n) {
+    const Rng::State start = rng->SaveState();
+    const size_t count = n - weights.size();
+    uniforms.resize(count * budget + (last + 1 - budget));
+    for (double& u : uniforms) u = rng->Uniform();
+    const size_t drawn =
+        SampleBatch(coverage, budget, count, uniforms, &weights);
+    if (drawn != uniforms.size()) {
+      rng->RestoreState(start);
+      for (size_t i = 0; i < drawn; ++i) rng->Next();
+    }
+  }
   double total = 0.0;
-  for (int s = 0; s < num_samples; ++s) {
-    nn::Matrix ctx(1, d, 0.0);
-    double weight = 1.0;
-    for (size_t c = 0; c <= last; ++c) {
-      nn::Matrix probs = nn::Softmax(Logits(c, ctx, nullptr, nullptr));
-      int bins = columns_[c].num_bins;
-      int chosen = -1;
-      if (constrained[c]) {
-        double mass = 0.0;
-        std::vector<double> masked(static_cast<size_t>(bins), 0.0);
-        for (int b = 0; b < bins; ++b) {
-          double cov = BinCoverage(c, b, lo[c], hi[c]);
-          masked[static_cast<size_t>(b)] = probs(0, static_cast<size_t>(b)) * cov;
-          mass += masked[static_cast<size_t>(b)];
-        }
-        weight *= mass;
-        if (mass <= 0.0) {
-          weight = 0.0;
-          break;
-        }
-        double u = rng->Uniform() * mass;
-        double acc = 0.0;
-        for (int b = 0; b < bins; ++b) {
-          acc += masked[static_cast<size_t>(b)];
-          if (acc >= u) {
-            chosen = b;
-            break;
-          }
-        }
-        if (chosen < 0) chosen = bins - 1;
-      } else {
-        double u = rng->Uniform();
-        double acc = 0.0;
-        for (int b = 0; b < bins; ++b) {
-          acc += probs(0, static_cast<size_t>(b));
-          if (acc >= u) {
-            chosen = b;
-            break;
-          }
-        }
-        if (chosen < 0) chosen = bins - 1;
-      }
-      for (size_t k = 0; k < d; ++k) {
-        ctx(0, k) += embeddings_[c](static_cast<size_t>(chosen), k);
+  for (double w : weights) total += w;
+  return total / static_cast<double>(num_samples);
+}
+
+size_t AutoregressiveModel::SampleBatch(
+    const std::vector<std::vector<double>>& coverage, size_t budget,
+    size_t count, const std::vector<double>& uniforms,
+    std::vector<double>* weights) const {
+  const size_t d = static_cast<size_t>(params_.embedding_dim);
+  const size_t last = coverage.size() - 1;
+  std::vector<double> weight(count, 1.0);
+  std::vector<size_t> draws(count, last + 1);
+  // Samples that chose the same bins so far share one context row: their
+  // contexts are the same sums in the same order, so one forward serves
+  // them all. `group[s]` is the row of sample s; `live` is in sample
+  // order.
+  std::vector<size_t> group(count, 0);
+  std::vector<size_t> live(count);
+  for (size_t s = 0; s < count; ++s) live[s] = s;
+  nn::Matrix ctx(1, d, 0.0);
+  for (size_t c = 0; c <= last && !live.empty(); ++c) {
+    nn::Matrix probs = nn::Softmax(Logits(c, ctx, nullptr, nullptr));
+    const size_t groups = probs.rows();
+    const size_t bins = probs.cols();
+    const bool masked = !coverage[c].empty();
+    // Running sums of each row's (masked) distribution; the last one is
+    // the row's mass.
+    for (size_t g = 0; g < groups; ++g) {
+      double acc = 0.0;
+      for (size_t b = 0; b < bins; ++b) {
+        acc += masked ? probs(g, b) * coverage[c][b] : probs(g, b);
+        probs(g, b) = acc;
       }
     }
-    total += weight;
+    std::vector<size_t> child(groups * bins, SIZE_MAX);
+    std::vector<size_t> parent, chosen_bin;
+    size_t kept = 0;
+    for (size_t s : live) {
+      const size_t g = group[s];
+      const double* cum = &probs(g, 0);
+      double u = uniforms[s * budget + c];
+      if (masked) {
+        const double mass = cum[bins - 1];
+        weight[s] *= mass;
+        if (mass <= 0.0) {
+          weight[s] = 0.0;
+          draws[s] = c;
+          // A short sample ends the batch: later samples re-run.
+          if (c < budget) break;
+          continue;
+        }
+        u *= mass;
+      }
+      size_t chosen = bins - 1;
+      for (size_t b = 0; b < bins; ++b) {
+        if (cum[b] >= u) {
+          chosen = b;
+          break;
+        }
+      }
+      size_t& next = child[g * bins + chosen];
+      if (next == SIZE_MAX) {
+        next = parent.size();
+        parent.push_back(g);
+        chosen_bin.push_back(chosen);
+      }
+      group[s] = next;
+      live[kept++] = s;
+    }
+    live.resize(kept);
+    nn::Matrix next_ctx(parent.size(), d);
+    for (size_t g = 0; g < parent.size(); ++g) {
+      for (size_t k = 0; k < d; ++k) {
+        next_ctx(g, k) =
+            ctx(parent[g], k) + embeddings_[c](chosen_bin[g], k);
+      }
+    }
+    ctx = std::move(next_ctx);
   }
-  return total / static_cast<double>(num_samples);
+  size_t kept = 0, drawn = 0;
+  while (kept < count) {
+    drawn += draws[kept];
+    weights->push_back(weight[kept]);
+    if (draws[kept++] != budget) break;
+  }
+  return drawn;
 }
 
 NeuroCardEstimator::NeuroCardEstimator(const ModelTrainingScale& scale)

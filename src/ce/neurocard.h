@@ -24,6 +24,18 @@ namespace autoce::ce {
 /// progressive sampling (Yang et al.): sample prefixes, accumulate the
 /// probability mass of the predicate interval at each queried column.
 ///
+/// Sampling runs column by column over all live samples at once.
+/// Samples that chose the same bins so far share one context row, so
+/// each distinct prefix goes through the network once, as one row of a
+/// (prefixes x embedding) product. Every kernel keeps a fixed per-element
+/// reduction order, so each row has the same bits as a one-row forward.
+/// The uniforms a sample draws are pre-drawn in sample-major order; a
+/// sample that draws other than the budget (its interval mass underflows
+/// to zero, or is NaN at an empty interval) ends the batch, the
+/// generator is rewound to just past the true draws, and the remaining
+/// samples re-run. Estimates and the generator's final state are those
+/// of one-sample-at-a-time sampling.
+///
 /// Substitution note (see DESIGN.md): this replaces the ResMADE network
 /// of the original NeuroCard with an equally autoregressive but smaller
 /// parameterization; the estimator keeps the paper-relevant profile
@@ -67,8 +79,21 @@ class AutoregressiveModel {
   int BinOf(size_t col, int32_t value) const;
 
  private:
+  friend class ProgressiveSamplingTestPeer;
+
   /// Fraction of bin `b`'s value range inside [lo, hi].
   double BinCoverage(size_t col, int b, int32_t lo, int32_t hi) const;
+
+  /// Samples `count` prefixes column by column. `coverage[c]` holds the
+  /// per-bin coverage of constrained column c (empty when unconstrained);
+  /// sample s reads its draw at column c from uniforms[s * budget + c].
+  /// Appends the weights of the samples up to and including the first
+  /// one that did not draw exactly `budget` uniforms; returns the number
+  /// of uniforms those samples drew.
+  size_t SampleBatch(const std::vector<std::vector<double>>& coverage,
+                     size_t budget, size_t count,
+                     const std::vector<double>& uniforms,
+                     std::vector<double>* weights) const;
 
   /// Bin logits for column `col` given a context vector (1 x embedding).
   nn::Matrix Logits(size_t col, const nn::Matrix& context,
@@ -103,6 +128,8 @@ class NeuroCardEstimator : public CardinalityEstimator {
   void SeedInference(uint64_t seed) override { sample_rng_ = Rng(seed); }
 
  protected:
+  friend class ProgressiveSamplingTestPeer;
+
   /// Selectivity of q's predicates under the AR model (shared with UAE).
   double PredicateSelectivity(const query::Query& q);
   /// Approximate unfiltered join size of q's table subset (full-join

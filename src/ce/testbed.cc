@@ -1,5 +1,6 @@
 #include "ce/testbed.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -87,6 +88,25 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
   std::vector<ModelId> ids =
       config.models.empty() ? AllModels() : config.models;
 
+  // Measured wall-clock per model, whatever latency the labels use:
+  // training time per attempt and mean inference time per test query.
+  struct ModelTimers {
+    obs::Histogram* train_ms;
+    obs::Histogram* infer_us;
+  };
+  static const std::array<ModelTimers, kNumModels> model_timers = [] {
+    auto& reg = obs::MetricsRegistry::Instance();
+    std::array<ModelTimers, kNumModels> timers{};
+    for (ModelId id : AllModels()) {
+      const obs::LabelSet labels = {{"model", ModelName(id)}};
+      timers[static_cast<size_t>(id)] = ModelTimers{
+          reg.GetHistogram("testbed.train_ms", labels),
+          reg.GetHistogram("testbed.infer_us", labels,
+                           obs::ExponentialBuckets(1.0, 2.0, 24))};
+    }
+    return timers;
+  }();
+
   // Trains and measures one candidate on one attempt. Any failure —
   // a Train() error, an injected fault, or a non-finite estimate or
   // aggregate from a diverged model — comes back as a Status with the
@@ -94,10 +114,13 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
   auto evaluate_cell = [&](ModelId id, const TrainContext& cell_ctx,
                            int attempt, ModelPerformance* perf,
                            ModelPerformance* post_perf) -> Status {
+    const ModelTimers& timers = model_timers[static_cast<size_t>(id)];
     auto model = CreateModel(id, config.scale);
     Timer train_timer;
     Status st = model->Train(cell_ctx);
-    perf->train_seconds += train_timer.ElapsedSeconds();
+    const double train_seconds = train_timer.ElapsedSeconds();
+    perf->train_seconds += train_seconds;
+    timers.train_ms->Observe(train_seconds * 1e3);
     if (st.ok() &&
         util::FaultPoint(util::fault_sites::kTestbedTrain,
                          util::FaultKeyMix(cell_ctx.seed,
@@ -128,6 +151,7 @@ Result<DriftTestbedResult> RunTestbedImpl(const data::Dataset& dataset,
     perf->latency_mean_ms =
         infer_timer.ElapsedMillis() /
         static_cast<double>(std::max<size_t>(1, out.test_queries.size()));
+    timers.infer_us->Observe(perf->latency_mean_ms * 1e3);
     if (config.emulate_reference_latency) {
       // Use the reference cost alone: labels become fully
       // deterministic (measured wall-clock varies run to run and the

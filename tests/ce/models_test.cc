@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ce/estimator.h"
 #include "ce/metrics.h"
@@ -216,10 +218,16 @@ TEST(ModelLatencyTest, LwNnFasterThanNeuroCard) {
   ASSERT_TRUE(lwnn->Train(ctx).ok());
   ASSERT_TRUE(neuro->Train(ctx).ok());
 
+  // Best of five: LW-NN's whole pass takes tens of microseconds, so one
+  // preemption inside a single window could decide the ordering.
   auto time_model = [&](CardinalityEstimator* m) {
-    Timer timer;
-    for (const auto& q : f.test_queries) m->EstimateCardinality(q);
-    return timer.ElapsedSeconds();
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      Timer timer;
+      for (const auto& q : f.test_queries) m->EstimateCardinality(q);
+      best = std::min(best, timer.ElapsedSeconds());
+    }
+    return best;
   };
   // Warm up then measure.
   time_model(lwnn.get());

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ce/testbed.h"
 #include "data/generator.h"
+#include "obs/metrics.h"
 
 namespace autoce::ce {
 namespace {
@@ -68,6 +71,77 @@ TEST(QErrorMetricTest, DeterministicLabelsWithEmulatedLatency) {
     EXPECT_DOUBLE_EQ(a->models[m].qerror.mean, b->models[m].qerror.mean);
     EXPECT_DOUBLE_EQ(a->models[m].latency_mean_ms,
                      b->models[m].latency_mean_ms);
+  }
+}
+
+int64_t TimerCount(const char* name, ModelId id) {
+  return obs::MetricsRegistry::Instance()
+      .GetHistogram(name, {{"model", ModelName(id)}})
+      ->Snapshot()
+      .count;
+}
+
+TEST(QErrorMetricTest, PerModelTimersRecordOncePerDatasetWithoutMovingLabels) {
+  std::vector<data::Dataset> datasets;
+  Rng rng(8);
+  for (int tables : {1, 2}) {
+    data::DatasetGenParams p;
+    p.min_tables = p.max_tables = tables;
+    p.min_rows = p.max_rows = 300;
+    datasets.push_back(data::GenerateDataset(p, &rng));
+  }
+  TestbedConfig cfg;
+  cfg.num_train_queries = 20;
+  cfg.num_test_queries = 10;
+  auto& reg = obs::MetricsRegistry::Instance();
+  const bool was_enabled = obs::MetricsEnabled();
+
+  auto label_all = [&] {
+    std::vector<TestbedResult> out;
+    for (const auto& ds : datasets) {
+      auto r = RunTestbed(ds, cfg);
+      EXPECT_TRUE(r.ok());
+      out.push_back(std::move(*r));
+    }
+    return out;
+  };
+  auto counts = [&] {
+    std::vector<int64_t> c;
+    for (ModelId id : AllModels()) {
+      c.push_back(TimerCount("testbed.train_ms", id));
+      c.push_back(TimerCount("testbed.infer_us", id));
+    }
+    return c;
+  };
+
+  // Dormant metrics record nothing.
+  reg.Disable();
+  std::vector<int64_t> before = counts();
+  std::vector<TestbedResult> dormant = label_all();
+  EXPECT_EQ(counts(), before);
+
+  // Enabled: one train and one inference sample per model per dataset.
+  reg.Enable();
+  std::vector<TestbedResult> recorded = label_all();
+  std::vector<int64_t> after = counts();
+  if (!was_enabled) reg.Disable();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], static_cast<int64_t>(datasets.size()))
+        << ModelName(AllModels()[i / 2]) << (i % 2 ? " infer" : " train");
+  }
+
+  // Labels do not depend on whether the timers record.
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    ASSERT_EQ(dormant[d].models.size(), recorded[d].models.size());
+    for (size_t m = 0; m < dormant[d].models.size(); ++m) {
+      const ModelPerformance& a = dormant[d].models[m];
+      const ModelPerformance& b = recorded[d].models[m];
+      EXPECT_EQ(std::memcmp(&a.qerror.mean, &b.qerror.mean, sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&a.latency_mean_ms, &b.latency_mean_ms,
+                            sizeof(double)),
+                0);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Bit-identity sweep for the util::simd dispatch layer (DESIGN.md
 // §5.10): scalar and the best-available vector level must produce
-// byte-identical matrix products, embeddings, and KNN neighbor lists at
-// every thread count.
+// byte-identical matrix products, embeddings, KNN neighbor lists and
+// NeuroCard/UAE estimates at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +9,13 @@
 #include <cstring>
 #include <vector>
 
+#include "ce/estimator.h"
 #include "data/generator.h"
+#include "engine/executor.h"
 #include "gnn/gin.h"
 #include "knn/index.h"
 #include "nn/matrix.h"
+#include "query/query.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -199,6 +202,54 @@ TEST_P(SimdDispatchSweep, KnnNeighborListsInvariant) {
       }
     }
   }
+}
+
+/// Trains NeuroCard and UAE on a 3-table dataset and digests their
+/// estimates. Inference runs many prefixes per column through the
+/// register-tiled GEMM kernels, and UAE's calibration runs that
+/// inference inside Train, so both paths are covered.
+uint64_t ArEstimateDigest() {
+  Rng rng(21);
+  data::DatasetGenParams p;
+  p.min_tables = p.max_tables = 3;
+  p.min_rows = 200;
+  p.max_rows = 300;
+  data::Dataset ds = data::GenerateDataset(p, &rng);
+  query::WorkloadParams wp;
+  wp.num_queries = 30;
+  std::vector<query::Query> queries = query::GenerateWorkload(ds, wp, &rng);
+  std::vector<double> cards = engine::TrueCardinalities(ds, queries);
+  ce::TrainContext ctx;
+  ctx.dataset = &ds;
+  ctx.train_queries = &queries;
+  ctx.train_cards = &cards;
+  ctx.seed = 5;
+  ce::ModelTrainingScale scale = ce::ModelTrainingScale::Fast();
+  scale.join_sample_rows = 300;
+  std::vector<double> estimates;
+  for (ce::ModelId id : {ce::ModelId::kNeuroCard, ce::ModelId::kUae}) {
+    auto model = ce::CreateModel(id, scale);
+    EXPECT_TRUE(model->Train(ctx).ok());
+    for (const auto& q : queries) {
+      estimates.push_back(model->EstimateCardinality(q));
+    }
+  }
+  return Digest(estimates);
+}
+
+TEST_P(SimdDispatchSweep, ProgressiveSamplingInvariant) {
+  std::vector<uint64_t> digests;
+  for (simd::Level level : SweepLevels()) {
+    AtLevel(level, [&] { digests.push_back(ArEstimateDigest()); });
+  }
+  for (size_t i = 1; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[0], digests[i])
+        << "level " << simd::LevelName(SweepLevels()[i]);
+  }
+  util::SetGlobalParallelism(1);
+  uint64_t single = ArEstimateDigest();
+  util::SetGlobalParallelism(GetParam());
+  EXPECT_EQ(digests[0], single);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SimdDispatchSweep,
