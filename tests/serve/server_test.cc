@@ -662,6 +662,39 @@ TEST_F(ServerTest, MetricsCountersMatchServerStats) {
   expect_line("serve_request_ms_count " + std::to_string(stats.requests));
 }
 
+TEST_F(ServerTest, MetricsOnAndOffServeTheSameBits) {
+  // Instruments only observe: a server with the metrics sink on
+  // answers every request with the same bits as one with it dormant.
+  auto& registry = obs::MetricsRegistry::Instance();
+  ServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.cache_capacity = 0;  // every request pays its embedding
+  auto requests = AllRequests();
+
+  registry.Disable();
+  std::vector<RecommendResponse> off;
+  {
+    AdvisorServer dormant(LoadAdvisor(), cfg);
+    off = dormant.Serve(requests);
+  }
+
+  registry.Enable();
+  registry.Reset();
+  AdvisorServer metered(LoadAdvisor(), cfg);
+  auto on = metered.Serve(requests);
+  std::string live = registry.ExportPrometheus();
+  registry.Disable();
+
+  auto served = InstanceSeries(live, "serve_requests_total");
+  ASSERT_EQ(served.size(), 1u) << live;
+  EXPECT_EQ(served.begin()->second, std::to_string(requests.size()));
+  ASSERT_EQ(on.size(), off.size());
+  for (size_t i = 0; i < on.size(); ++i) {
+    EXPECT_TRUE(on[i].status.ok()) << on[i].status.ToString();
+    ExpectSameResponse(on[i], off[i]);
+  }
+}
+
 TEST_F(ServerTest, TwoServersExportSeparateInstanceSeries) {
   // Two servers in one process: each exports its own counts under its
   // own `instance` label, and teardown sums them into the totals.

@@ -1,7 +1,7 @@
 // Bit-identity sweep for the util::simd dispatch layer (DESIGN.md
 // §5.10): scalar and the best-available vector level must produce
-// byte-identical matrix products, embeddings, KNN neighbor lists and
-// NeuroCard/UAE estimates at every thread count.
+// byte-identical matrix products, embeddings, KNN neighbor lists,
+// NeuroCard/UAE estimates and fss-served plans at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,9 @@
 #include "ce/estimator.h"
 #include "data/generator.h"
 #include "engine/executor.h"
+#include "engine/optimizer.h"
+#include "engine/plan_executor.h"
+#include "fss/estimator_service.h"
 #include "gnn/gin.h"
 #include "knn/index.h"
 #include "nn/matrix.h"
@@ -248,6 +251,86 @@ TEST_P(SimdDispatchSweep, ProgressiveSamplingInvariant) {
   }
   util::SetGlobalParallelism(1);
   uint64_t single = ArEstimateDigest();
+  util::SetGlobalParallelism(GetParam());
+  EXPECT_EQ(digests[0], single);
+}
+
+/// Plans and executes multi-table queries with every subplan
+/// cardinality answered by an fss::EstimatorService hosting MSCN,
+/// LW-XGB or NeuroCard: a cold pass whose executor feedback fills the
+/// knowledge tier, then a second pass that reads it. Digests each
+/// plan's shape and cost; every execution must return the true row
+/// count.
+uint64_t ServicePlanDigest() {
+  Rng rng(33);
+  data::DatasetGenParams p;
+  p.min_tables = p.max_tables = 3;
+  p.min_rows = 200;
+  p.max_rows = 300;
+  data::Dataset ds = data::GenerateDataset(p, &rng);
+  query::WorkloadParams wp;
+  wp.num_queries = 60;
+  wp.max_tables = 3;
+  std::vector<query::Query> queries = query::GenerateWorkload(ds, wp, &rng);
+  std::vector<query::Query> train(queries.begin(), queries.begin() + 40);
+  std::vector<query::Query> run;
+  for (size_t i = 40; i < queries.size(); ++i) {
+    if (queries[i].tables.size() >= 2) run.push_back(queries[i]);
+  }
+  EXPECT_FALSE(run.empty());
+  std::vector<double> cards = engine::TrueCardinalities(ds, train);
+  ce::TrainContext ctx;
+  ctx.dataset = &ds;
+  ctx.train_queries = &train;
+  ctx.train_cards = &cards;
+  ctx.seed = 9;
+  ce::ModelTrainingScale scale = ce::ModelTrainingScale::Fast();
+  scale.join_sample_rows = 300;
+
+  std::vector<double> values;
+  for (ce::ModelId id :
+       {ce::ModelId::kMscn, ce::ModelId::kLwXgb, ce::ModelId::kNeuroCard}) {
+    auto model = ce::CreateModel(id, scale);
+    EXPECT_TRUE(model->Train(ctx).ok());
+    auto service = fss::EstimatorService::Open("", std::move(model), &ds);
+    EXPECT_TRUE(service.ok());
+    if (!service.ok()) return 0;
+    engine::JoinOrderOptimizer opt(&ds);
+    engine::PlanExecutor exec(&ds);
+    exec.set_subplan_observer((*service)->MakeObserver());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const query::Query& q : run) {
+        auto plan = opt.Optimize(q, service->get());
+        EXPECT_TRUE(plan.ok());
+        if (!plan.ok()) continue;
+        engine::ExecutionResult result = exec.Execute(q, **plan);
+        auto truth = engine::TrueCardinality(ds, q);
+        EXPECT_TRUE(result.completed && truth.ok() &&
+                    result.output_rows == *truth);
+        for (char c : (*plan)->ToString()) values.push_back(c);
+        values.push_back((*plan)->cost);
+        values.push_back(static_cast<double>(result.output_rows));
+      }
+    }
+    fss::ServiceStats stats = (*service)->stats();
+    EXPECT_GT(stats.knowledge_hits, 0u);
+    values.push_back(static_cast<double>(stats.knowledge_hits));
+    values.push_back(static_cast<double>(stats.model_estimates));
+  }
+  return Digest(values);
+}
+
+TEST_P(SimdDispatchSweep, EstimatorServicePlansInvariant) {
+  std::vector<uint64_t> digests;
+  for (simd::Level level : SweepLevels()) {
+    AtLevel(level, [&] { digests.push_back(ServicePlanDigest()); });
+  }
+  for (size_t i = 1; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[0], digests[i])
+        << "level " << simd::LevelName(SweepLevels()[i]);
+  }
+  util::SetGlobalParallelism(1);
+  uint64_t single = ServicePlanDigest();
   util::SetGlobalParallelism(GetParam());
   EXPECT_EQ(digests[0], single);
 }

@@ -1,9 +1,9 @@
 // Miniature soak drill (DESIGN.md §5.12) sized for the default ctest
 // run: a handful of ticks of serve + adapt under a seeded chaos
 // schedule with kill/restart cycles, checking the harness's standing
-// invariants end to end — and the two determinism contracts the full
-// bench relies on (unarmed replay and worker-count independence) on a
-// corpus small enough to finish in seconds.
+// invariants end to end — and its two determinism contracts (unarmed
+// replay and worker-count independence) on a corpus small enough to
+// finish in seconds.
 #include "adapt/soak.h"
 
 #include <gtest/gtest.h>
@@ -61,6 +61,7 @@ TEST_F(SoakSmokeTest, ArmedSoakHoldsInvariantsAndEndsDurable) {
   // that the run actually exercised what it claims to.
   EXPECT_EQ(report->ticks.size(), config.ticks);
   EXPECT_EQ(report->kills, 2u);
+  EXPECT_GE(report->max_concurrent_sites, 3);
   EXPECT_EQ(report->items_offered, config.ticks * config.items_per_tick);
   EXPECT_EQ(report->requests, config.ticks * config.requests_per_tick);
   EXPECT_TRUE(report->ended_durable);
